@@ -37,7 +37,7 @@ from .paramfile import (
     load_params,
     price_level_params,
 )
-from .timeseries import LoessConfig, TimeSeries, interp_linear, load_csv, loess_smooth
+from .timeseries import LoessConfig, _csv_text, interp_linear, load_csv, loess_smooth
 
 __all__ = ["main"]
 
@@ -82,20 +82,6 @@ def _emit(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _series_csv(ts: TimeSeries) -> str:
-    lines = ["date,value\n"]
-    for t, v in zip(ts.t, ts.v):
-        lines.append(f"{float(t)!r},{float(v)!r}\n")
-    return "".join(lines)
-
-
-def _table_csv(header: str, columns) -> str:
-    lines = [header + "\n"]
-    for row in zip(*columns):
-        lines.append(",".join(f"{float(x)!r}" for x in row) + "\n")
-    return "".join(lines)
 
 
 def _parse_grid(spec: str, scale: str, parser: _Parser) -> np.ndarray:
@@ -185,7 +171,7 @@ def _parse_floats(text: str, count: int, label: str, parser: _Parser) -> np.ndar
 def _cmd_smooth(args, parser: _Parser) -> int:
     ts = load_csv(args.path)
     smoothed = loess_smooth(ts, LoessConfig(degree=args.degree, span=args.span))
-    _emit(_series_csv(smoothed), args.output)
+    _emit(_csv_text("date,value", (smoothed.t, smoothed.v)), args.output)
     return 0
 
 
@@ -206,7 +192,7 @@ def _cmd_eval(args, parser: _Parser) -> int:
             return 0
         sweep = _require_grid(args, parser)
         curves = adas_curves(*base, delta_n=sweep, delta_s=sweep)
-        _emit(_table_csv("x,ad,sras", (sweep, curves.ad[:, 1], curves.sras[:, 1])), args.output)
+        _emit(_csv_text("x,ad,sras", (sweep, curves.ad[:, 1], curves.sras[:, 1])), args.output)
         return 0
 
     if model == "islm":
@@ -235,7 +221,7 @@ def _cmd_eval(args, parser: _Parser) -> int:
             scalars["k-i"],
             sweep,
         )
-        _emit(_table_csv("x,lm,is", (sweep, curves.lm[:, 1], curves.is_curve[:, 1])), args.output)
+        _emit(_csv_text("x,lm,is", (sweep, curves.lm[:, 1], curves.is_curve[:, 1])), args.output)
         return 0
 
     grid = _require_grid(args, parser)
@@ -263,7 +249,7 @@ def _cmd_eval(args, parser: _Parser) -> int:
         lv = interp_linear(series["l"], grid)
         values = cobb_douglas(kv, lv, cobb_douglas_params(params))
 
-    _emit(_table_csv("t,value", (grid, np.atleast_1d(values))), args.output)
+    _emit(_csv_text("t,value", (grid, np.atleast_1d(values))), args.output)
     return 0
 
 
@@ -325,14 +311,15 @@ def _cmd_ensemble(args, parser: _Parser) -> int:
     if args.m_grid is not None:
         kwargs["m_grid"] = _parse_grid(args.m_grid, args.m_grid_scale, parser)
     result = monte_carlo(MonteCarloConfig(**kwargs))
-    lines = ["run,m,avg_a,avg_n,avg_price\n"]
-    for run in range(result.avg_a.shape[0]):
-        for i, m in enumerate(result.m_grid):
-            lines.append(
-                f"{run},{float(m)!r},{float(result.avg_a[run, i])!r},"
-                f"{float(result.avg_n[run, i])!r},{float(result.avg_price[run, i])!r}\n"
-            )
-    _emit("".join(lines), args.output)
+    runs, size = result.avg_a.shape
+    columns = (
+        np.repeat(np.arange(runs), size),
+        np.tile(result.m_grid, runs),
+        result.avg_a.ravel(),
+        result.avg_n.ravel(),
+        result.avg_price.ravel(),
+    )
+    _emit(_csv_text("run,m,avg_a,avg_n,avg_price", columns), args.output)
     return 0
 
 
@@ -340,12 +327,8 @@ def _cmd_fluctuation(args, parser: _Parser) -> int:
     ts = load_csv(args.path)
     changes = series_changes(ts, mode=args.mode)
     result = fluctuation_comparison(changes, bins=args.bins)
-    lines = ["bin_left,bin_right,count,theory\n"]
-    for left, right, count, theory in zip(
-        result.bin_left, result.bin_right, result.count, result.theory
-    ):
-        lines.append(f"{float(left)!r},{float(right)!r},{int(count)},{float(theory)!r}\n")
-    _emit("".join(lines), args.output)
+    columns = (result.bin_left, result.bin_right, result.count.astype(int), result.theory)
+    _emit(_csv_text("bin_left,bin_right,count,theory", columns), args.output)
     return 0
 
 

@@ -63,6 +63,10 @@ class MarketEnsemble:
         return self.a.size
 
 
+# float64 elements in one Monte Carlo block (256 KiB); bounds its temporaries
+_BLOCK = 1 << 15
+
+
 def _check_m(m) -> float:
     m = float(m)
     if not math.isfinite(m) or m <= 0.0:
@@ -122,7 +126,9 @@ class MonteCarloConfig:
     three ensemble aggregates over m_grid. Runs are independent; run j
     uses the substream spawned from (seed, j), so results are
     reproducible bit-for-bit for a given seed regardless of execution
-    order.
+    order. monte_carlo evaluates the runs in bounded array blocks, and
+    its result equals the scalar avg_index, avg_output and avg_price
+    bit for bit.
     """
 
     n0: int = 100
@@ -165,19 +171,46 @@ class MonteCarloResult:
 
 
 def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
-    """Run the ensemble Monte Carlo described by config."""
+    """Run the ensemble Monte Carlo described by config.
+
+    Runs are evaluated together in bounded blocks of (runs, m values,
+    markets), so temporary memory stays fixed whatever the run count or
+    grid size. Each block repeats the arithmetic of the scalar functions
+    in the same order, and its sums reduce over the contiguous market
+    axis exactly as the 1-d sums do, so the result equals avg_index,
+    avg_output and avg_price called per run and m value, bit for bit.
+    """
     grid = config.m_grid
-    shape = (int(config.runs), grid.size)
-    out_a = np.empty(shape)
-    out_n = np.empty(shape)
-    out_p = np.empty(shape)
-    for run in range(int(config.runs)):
+    runs, n0 = int(config.runs), int(config.n0)
+    draws = np.empty((runs, n0))
+    for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(run,)))
-        ens = MarketEnsemble(rng.normal(config.a_mean, config.a_sd, int(config.n0)))
-        for j, m in enumerate(grid):
-            out_a[run, j] = avg_index(ens, m)
-            out_n[run, j] = avg_output(ens, m)
-            out_p[run, j] = avg_price(ens, m)
+        draws[run] = rng.normal(config.a_mean, config.a_sd, n0)
+    if not np.all(np.isfinite(draws)):
+        raise DomainError("index draws must be finite")
+    # math.log as in _weights: np.log may differ from it in the last bit
+    neg_log_m = np.array([-math.log(m) for m in grid.tolist()])
+    cols = min(grid.size, max(1, _BLOCK // n0))
+    rows = max(1, _BLOCK // (n0 * cols))
+    out_a = np.empty((runs, grid.size))
+    out_n = np.empty_like(out_a)
+    out_p = np.empty_like(out_a)
+    for r in range(0, runs, rows):
+        a = draws[r : r + rows, None, :]
+        sum_a = a.sum(axis=-1)
+        for c in range(0, grid.size, cols):
+            block = (slice(r, r + rows), slice(c, c + cols))
+            x = a * neg_log_m[c : c + cols, None]  # -a_i * log(m), as in _weights
+            shift = x.max(axis=-1)
+            x -= shift[..., None]
+            w = np.exp(x, out=x)
+            sw = w.sum(axis=-1)
+            w *= a
+            out_a[block] = w.sum(axis=-1) / sw
+            with np.errstate(over="ignore"):
+                z = np.exp(shift) * sw
+            out_n[block] = n0 * (n0 / z)
+            out_p[block] = sum_a / (grid[c : c + cols] * z)
     return MonteCarloResult(m_grid=grid, avg_a=out_a, avg_n=out_n, avg_price=out_p)
 
 

@@ -188,26 +188,34 @@ def load_csv(
     return TimeSeries(t_arr, v_arr, name=name or str(path), units=units)
 
 
+def _csv_text(header: str, columns) -> str:
+    """The header line, then one line per row of the 1-d columns, each
+    value written by repr so that reading it back loses nothing."""
+    lists = [np.asarray(c).tolist() for c in columns]
+    line = ",".join(["%r"] * len(lists)) + "\n"
+    return header + "\n" + "".join([line % row for row in zip(*lists)])
+
+
 def save_csv(ts: TimeSeries, path) -> None:
     """Write a TimeSeries as ``date,value`` rows (decimal years, full precision)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,value\n")
-        for t, v in zip(ts.t, ts.v):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.write(_csv_text("date,value", (ts.t, ts.v)))
 
 
 def interp_linear(ts: TimeSeries, t):
     """Linearly interpolate the series at time(s) t.
 
     Exact at the sample timestamps. Raises OutOfRange rather than
-    extrapolating. Scalar in, scalar out; array in, array out.
+    extrapolating, and on a NaN time. Scalar in, scalar out; array in,
+    array out.
     """
     t_arr = np.asarray(t, dtype=float)
     if ts.t.size < 2 and np.any(t_arr != ts.t[0]):
         raise OutOfRange("need at least two samples to interpolate")
     lo, hi = ts.t[0], ts.t[-1]
-    if np.any(t_arr < lo) or np.any(t_arr > hi):
-        bad = t_arr[(t_arr < lo) | (t_arr > hi)]
+    inside = (t_arr >= lo) & (t_arr <= hi)  # False for NaN
+    if not np.all(inside):
+        bad = t_arr[~inside]
         raise OutOfRange(
             f"t={np.atleast_1d(bad)[0]} outside sampled range [{lo}, {hi}]"
         )

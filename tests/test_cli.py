@@ -139,6 +139,21 @@ class TestEval:
         assert np.array_equal(rows[:, 0], grid)
         assert np.array_equal(rows[:, 1], expect)
 
+    def test_nan_grid_time_exits_3_naming_it(self, workdir):
+        out = run_cli(
+            "eval",
+            "price-level",
+            "--params",
+            str(workdir / "params.txt"),
+            "--grid=nan:2009:3",
+            "--input",
+            f"n={workdir / 'n.csv'}",
+            "--input",
+            f"m={workdir / 'm.csv'}",
+        )
+        assert out.returncode == 3
+        assert "t=nan outside sampled range" in out.stderr
+
     def test_okun_requires_k_h(self, workdir):
         save_params(workdir / "short.txt", {"alpha": 0.6})
         out = run_cli(

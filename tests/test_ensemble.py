@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from infoeq import (
     partition_fn,
     series_changes,
 )
+from infoeq.ensemble import _BLOCK
 
 
 class TestMarketEnsemble:
@@ -163,6 +166,58 @@ class TestMonteCarlo:
             MonteCarloConfig(m_grid=np.array([2.0, 1.0]))
         with pytest.raises(DomainError):
             MonteCarloConfig(m_grid=np.array([0.0, 1.0]))
+
+
+def scalar_monte_carlo(config):
+    """(avg_a, avg_n, avg_price) from the scalar averages, one run and m at a time."""
+    out = np.empty((3, config.runs, config.m_grid.size))
+    for run in range(config.runs):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(run,)))
+        ens = MarketEnsemble(rng.normal(config.a_mean, config.a_sd, config.n0))
+        for j, m in enumerate(config.m_grid):
+            out[:, run, j] = avg_index(ens, m), avg_output(ens, m), avg_price(ens, m)
+    return out
+
+
+def assert_matches_scalar(result, config):
+    expect = scalar_monte_carlo(config)
+    assert np.array_equal(result.avg_a, expect[0])
+    assert np.array_equal(result.avg_n, expect[1])
+    assert np.array_equal(result.avg_price, expect[2])
+
+
+class TestMonteCarloMatchesScalarOracle:
+    def test_last_block_of_runs_is_partial(self):
+        config = MonteCarloConfig(n0=10, runs=70, m_grid=np.geomspace(1.0, 1000.0, 100), seed=3)
+        runs_per_block = _BLOCK // (config.n0 * config.m_grid.size)
+        assert 1 < runs_per_block < config.runs and config.runs % runs_per_block != 0
+        assert_matches_scalar(monte_carlo(config), config)
+
+    def test_one_run_spans_several_blocks(self):
+        config = MonteCarloConfig(n0=500, runs=3, m_grid=np.geomspace(1.0, 1000.0, 200), seed=4)
+        assert config.n0 * config.m_grid.size > _BLOCK
+        assert_matches_scalar(monte_carlo(config), config)
+
+    def test_wide_draws_and_grid(self):
+        config = MonteCarloConfig(n0=37, runs=7, a_sd=3.0, m_grid=np.geomspace(1.0, 1e6, 33), seed=1)
+        assert_matches_scalar(monte_carlo(config), config)
+
+    def test_overflowing_partition_function_is_silent(self):
+        config = MonteCarloConfig(n0=20, runs=6, a_sd=50.0, m_grid=np.geomspace(1.0, 1e300, 25), seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = monte_carlo(config)
+        assert np.any(result.avg_n == 0.0)  # Z(m) saturated to inf
+        assert_matches_scalar(result, config)
+
+    def test_default_run_peak_memory(self):
+        tracemalloc.start()
+        try:
+            monte_carlo(MonteCarloConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 PARAMS = EntropyParams(k=1.6, gamma=5.93e-4, m0=603.8)

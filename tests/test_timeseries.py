@@ -177,6 +177,13 @@ class TestInterpLinear:
         with pytest.raises(OutOfRange):
             interp_linear(ts, [2000.0, 2004.1])
 
+    def test_nan_time_is_out_of_range(self):
+        ts = make_series(5)
+        with pytest.raises(OutOfRange, match="t=nan"):
+            interp_linear(ts, np.nan)
+        with pytest.raises(OutOfRange, match="t=nan"):
+            interp_linear(ts, [2001.0, np.nan])
+
 
 class TestLoessConfig:
     def test_defaults(self):
