@@ -55,7 +55,7 @@ print(f"exponent sum {closed.k1 + closed.k2:.3f} (1 would be constant returns)")
 fit = fit_cobb_douglas(
     TimeSeries(grid, n_in), TimeSeries(grid, k_in), TimeSeries(grid, l_in), grid
 )
-print(f"refined by least squares:        A={fit.params()['A']:.3e}, "
+print(f"box-constrained least squares:   A={fit.params()['A']:.3e}, "
       f"k1={fit.params()['k1']:.3f}, k2={fit.params()['k2']:.3f} "
       f"(converged={fit.converged})")
 

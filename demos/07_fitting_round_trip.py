@@ -2,8 +2,9 @@
 
 Generates a fake economy from chosen constants, perturbs the observed
 price series, then fits it back starting from a deliberately wrong
-guess. The point is to show the full loop (objective construction,
-bounded minimization, report) on data whose right answer is known.
+guess. The point is to show the full loop (a bounded search over
+gamma*M0 with alpha and M0 solved exactly at each step, then the
+report) on data whose right answer is known.
 """
 
 import json
@@ -64,6 +65,6 @@ labor = TimeSeries(grid, 9.0e4 * np.exp(0.015 * u) * (1 + 0.03 * np.sin(0.5 * u)
 out_v = k_true[0] * capital.v ** k_true[1] * labor.v ** k_true[2]
 output = TimeSeries(grid, out_v * np.exp(rng.normal(0.0, 0.003, grid.size)))
 res = fit_cobb_douglas(output, capital, labor, grid)
-print("\ntwo-factor production fit (log-linear start, then refined):")
+print("\ntwo-factor production fit (exact least squares on logs):")
 for name, t_val in zip(("A", "k1", "k2"), k_true):
     print(f"  {name:3s} true {t_val:<8.4g} fitted {res.params()[name]:<10.6g}")

@@ -285,22 +285,11 @@ def _cmd_fit(args, parser: _Parser) -> int:
             series["rshort"],
             grid,
             x0,
-            tol=args.tol,
-            max_iter=args.max_iter,
             smooth=smooth,
         )
     else:  # cobb-douglas; x0 defaults to the log-linear closed form
         x0 = None if args.x0 is None else _parse_floats(args.x0, 3, "--x0", parser)
-        result = fit_cobb_douglas(
-            series["n"],
-            series["k"],
-            series["l"],
-            grid,
-            x0,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            smooth=smooth,
-        )
+        result = fit_cobb_douglas(series["n"], series["k"], series["l"], grid, x0, smooth=smooth)
 
     _emit(json.dumps(fit_report(result), indent=2) + "\n", args.output)
     return 0 if result.converged else 4
@@ -394,8 +383,8 @@ def build_parser() -> _Parser:
     _add_grid(fit)
     _add_smoothing(fit)
     fit.add_argument("--x0", metavar="V1,V2,...", help="starting parameters")
-    fit.add_argument("--tol", type=float, default=1e-8)
-    fit.add_argument("--max-iter", type=int, default=10_000)
+    fit.add_argument("--tol", type=float, default=1e-8, help="price-level only: search tolerance")
+    fit.add_argument("--max-iter", type=int, default=10_000, help="price-level only: iteration cap")
     _add_output(fit)
     fit.set_defaults(func=_cmd_fit)
 
@@ -420,23 +409,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+# first matching type wins, so subclasses of InfoEqError precede it
+EXIT_CODES = ((ParseError, 2), (OSError, 2), (NonConvergence, 4), (InfoEqError, 3))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ParseError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"infoeq: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"infoeq: error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergence as exc:
-        print(f"infoeq: error: {exc}", file=sys.stderr)
-        return 4
-    except InfoEqError as exc:
-        print(f"infoeq: error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

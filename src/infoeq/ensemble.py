@@ -103,8 +103,13 @@ def avg_index(ens: MarketEnsemble, m) -> float:
 
 
 def avg_output(ens: MarketEnsemble, m) -> float:
-    """Ensemble aggregate output <N(m)> = n0**2 / Z(m); <N(1)> = n0 exactly."""
-    return ens.n0 * (ens.n0 / partition_fn(ens, m))
+    """Ensemble aggregate output <N(m)> = n0**2 / Z(m); <N(1)> = n0 exactly.
+
+    Saturates to inf where Z(m) underflows to 0 (every a_i*log(m) above
+    ~745).
+    """
+    z = partition_fn(ens, m)
+    return ens.n0 * (ens.n0 / z) if z > 0.0 else math.inf
 
 
 def avg_price(ens: MarketEnsemble, m) -> float:
@@ -112,10 +117,12 @@ def avg_price(ens: MarketEnsemble, m) -> float:
 
     Each term a_i*m**(a_i-1)*m**(-a_i) collapses to a_i/m, so the
     expectation is sum(a)/(m*Z); the naive weighted sum agrees to
-    rounding but overflows first.
+    rounding but overflows first. Saturates to +-inf, with the sign of
+    sum(a), where m*Z(m) underflows to 0.
     """
     m = _check_m(m)
-    return float(np.sum(ens.a)) / (m * partition_fn(ens, m))
+    total, mz = float(np.sum(ens.a)), m * partition_fn(ens, m)
+    return total / mz if mz > 0.0 else math.copysign(math.inf, total)
 
 
 @dataclass(frozen=True)
@@ -207,10 +214,10 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
             sw = w.sum(axis=-1)
             w *= a
             out_a[block] = w.sum(axis=-1) / sw
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 z = np.exp(shift) * sw
-            out_n[block] = n0 * (n0 / z)
-            out_p[block] = sum_a / (grid[c : c + cols] * z)
+                out_n[block] = n0 * (n0 / z)
+                out_p[block] = sum_a / (grid[c : c + cols] * z)
     return MonteCarloResult(m_grid=grid, avg_a=out_a, avg_n=out_n, avg_price=out_p)
 
 

@@ -1,6 +1,13 @@
-"""Derivative-free least-squares fitting for the model families.
+"""Least-squares fitting for the model families.
 
-The minimizer is a principal-axis direction-set search: cyclic line
+All three models are linear in logs once the slowly varying index is
+fixed, so the interest rate and Cobb-Douglas fits are exact linear least
+squares over their boxes in transformed parameters. The price level is
+separable (variable projection, Golub & Pereyra, SIAM J. Numer. Anal.
+10(2), 1973): `minimize` searches the one scale c = gamma*m0, and at each
+c an exact two-variable solve gives (alpha, m0).
+
+`minimize` is a principal-axis direction-set search: cyclic line
 minimizations along a direction set that starts as the coordinate axes,
 with the largest-decrease direction replaced by the cycle's net
 displacement when that passes the standard acceptance test, and the set
@@ -16,8 +23,9 @@ FitResult bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +43,6 @@ from .timeseries import LoessConfig, TimeSeries, interp_linear, loess_smooth
 __all__ = [
     "FitProblem",
     "FitResult",
-    "sum_sq_residuals",
     "minimize",
     "fit_price_level",
     "fit_interest",
@@ -91,7 +98,8 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Minimizer output. f_star never exceeds the objective at x0."""
+    """Fit output. f_star never exceeds the objective at x0; for the model
+    fits it is residuals @ residuals at x."""
 
     x: np.ndarray
     f_star: float
@@ -102,42 +110,6 @@ class FitResult:
 
     def params(self) -> dict[str, float]:
         return {name: float(v) for name, v in zip(self.names, self.x)}
-
-
-def sum_sq_residuals(model, data, transform: str = "linear"):
-    """Build the objective sum((T(model(x, t)) - T(v))**2).
-
-    model is a callable model(x, t_array) -> values; data is a
-    TimeSeries or a (t, v) pair; transform is "linear" or "log". The log
-    transform requires positive data and positive model output (a safe
-    search box must guarantee the latter).
-    """
-    if isinstance(data, TimeSeries):
-        t, v = data.t, data.v
-    else:
-        t, v = (np.asarray(p, dtype=float) for p in data)
-    if transform == "linear":
-        target = v
-
-        def objective(x):
-            r = model(x, t) - target
-            return float(np.dot(r, r))
-
-    elif transform == "log":
-        if np.any(v <= 0.0):
-            raise DomainError("log transform requires positive data")
-        target = np.log(v)
-
-        def objective(x):
-            out = model(x, t)
-            if np.any(out <= 0.0):
-                raise DomainError("log transform requires positive model output")
-            r = np.log(out) - target
-            return float(np.dot(r, r))
-
-    else:
-        raise DomainError(f"unknown transform {transform!r}")
-    return objective
 
 
 def _admissible_span(x, d, lo, hi):
@@ -307,6 +279,85 @@ def minimize(problem: FitProblem) -> FitResult:
     )
 
 
+def _lsq(design, target, g, h) -> np.ndarray:
+    """Exact minimiser b of |design @ b - target|**2 subject to g @ b <= h.
+
+    Rows with a non-finite entry come from a bound of 0 or inf and
+    constrain nothing, so they are dropped. The objective is strictly
+    convex, so its constrained minimiser is the best feasible solution of
+    the equality-constrained problems on every set of at most n linearly
+    independent rows: for n = 3 unknowns and a box, at most 42 solves.
+    Each is solved in the null space of its rows on the triangular factor
+    of design, which keeps the conditioning of design itself.
+    """
+    n = design.shape[1]
+    if np.linalg.matrix_rank(design) < n:
+        raise RankDeficient("constant or collinear regressors leave the parameters unidentified")
+    q, r = np.linalg.qr(design)
+    z = q.T @ target
+    keep = np.all(np.isfinite(g), axis=1) & np.isfinite(h)
+    g, h = g[keep], h[keep]
+    slack = 1e-10 * (1.0 + np.abs(h))
+    b = np.linalg.solve(r, z)
+    if np.all(g @ b <= h + slack):
+        return b  # the unconstrained minimiser is feasible
+    best, best_f = None, math.inf
+    for size in range(1, n + 1):
+        for rows in itertools.combinations(range(h.size), size):
+            ga, ha = g[list(rows)], h[list(rows)]
+            if np.linalg.matrix_rank(ga) < size:
+                continue
+            # b = p + basis @ w, where ga @ p = ha and ga @ basis = 0
+            qg, rg = np.linalg.qr(ga.T, mode="complete")
+            p = qg[:, :size] @ np.linalg.solve(rg[:size].T, ha)
+            basis = qg[:, size:]
+            w = np.linalg.lstsq(r @ basis, z - r @ p, rcond=None)[0]
+            b = p + basis @ w
+            if np.any(g @ b > h + slack):
+                continue
+            e = r @ b - z
+            if e @ e < best_f:
+                best, best_f = b, e @ e
+    return best
+
+
+def _box_rows(lower, upper):
+    """(g, h) such that g @ b <= h is lower <= b <= upper."""
+    eye = np.eye(len(lower))
+    return np.vstack([-eye, eye]), np.concatenate([-np.asarray(lower), upper])
+
+
+def _box(x0, bounds, default, names, positive):
+    """Validated (x0, lower, upper) as float arrays.
+
+    default(x0) gives the box used when bounds is None. Parameters
+    flagged in positive must start positive, and their bounds must not
+    be negative.
+    """
+    positive = np.array(positive)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != positive.shape or not np.all(np.isfinite(x0)) or np.any(x0[positive] <= 0.0):
+        spec = ", ".join(f"{name} > 0" if pos else name for name, pos in zip(names, positive))
+        raise DomainError(f"x0 must be finite ({spec})")
+    lower, upper = default(x0) if bounds is None else (np.asarray(b, dtype=float) for b in bounds)
+    if lower.shape != x0.shape or upper.shape != x0.shape:
+        raise DomainError("bounds must match x0 in shape")
+    if not np.all(lower <= upper):
+        raise DomainError("lower bound exceeds upper bound")
+    if np.any(x0 < lower) or np.any(x0 > upper):
+        raise DomainError("x0 must lie inside the bounds")
+    if np.any(lower[positive] < 0.0):
+        raise DomainError(f"bounds on {', '.join(np.array(names)[positive])} must not be negative")
+    return x0, lower, upper
+
+
+def _logs(*values):
+    """Natural logs of data, which the log transform requires to be positive."""
+    if any(np.any(v <= 0.0) for v in values):
+        raise DomainError("log transform requires positive data")
+    return [np.log(v) for v in values]
+
+
 def _prepare(ts: TimeSeries, grid, smooth: LoessConfig | None) -> np.ndarray:
     if smooth is not None:
         ts = loess_smooth(ts, smooth)
@@ -315,6 +366,10 @@ def _prepare(ts: TimeSeries, grid, smooth: LoessConfig | None) -> np.ndarray:
 
 def _default_bounds(x0: np.ndarray, spread: float = 5.0):
     return x0 / spread, x0 * spread
+
+
+def _result(x, names, residuals, iterations=1, converged=True) -> FitResult:
+    return FitResult(x, float(residuals @ residuals), iterations, converged, names, residuals)
 
 
 def fit_price_level(
@@ -330,64 +385,51 @@ def fit_price_level(
 ) -> FitResult:
     """Fit (alpha, gamma, m0) of the price level to a deflator series.
 
-    Residuals are taken in log space. The box is tightened (or rejected)
-    so that gamma*m0 stays below the smallest aggregate on the grid and
-    the model never leaves its domain during the search.
+    Residuals are taken in log space. For a fixed c = gamma*m0 the log
+    price level is linear in (log alpha, log m0), so `minimize` (with tol
+    and max_iter) searches c alone and each step solves a box in
+    (log alpha, log m0) exactly, the m0 interval intersected with
+    [c/upper_gamma, c/lower_gamma]. c stays below the smallest aggregate
+    on the grid so that the index is defined; explicit bounds that admit
+    a larger gamma*m0 are rejected.
     """
     grid = np.asarray(grid, dtype=float)
     n = _prepare(n_ts, grid, smooth)
     m = _prepare(m_ts, grid, smooth)
     p = _prepare(p_ts, grid, smooth)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3,) or np.any(x0 <= 0.0):
-        raise DomainError("x0 must be positive (alpha, gamma, m0)")
-
-    defaulted = bounds is None
-    lower, upper = _default_bounds(x0) if defaulted else (
-        np.asarray(bounds[0], dtype=float),
-        np.asarray(bounds[1], dtype=float),
-    )
+    names = ("alpha", "gamma", "M0")
+    x0, lower, upper = _box(x0, bounds, _default_bounds, names, (True, True, True))
     if np.any(lower <= 0.0):
         raise DomainError("price level bounds must be positive")
+    ln_n, ln_m, ln_p = _logs(n, m, p)
 
-    # keep the k_index logs positive across the whole box
-    v_min = float(min(np.min(n), np.min(m)))
-    cap = v_min * math.exp(-0.05)
+    # keep the k_index logs positive for every admissible c
+    cap = float(min(np.min(n), np.min(m))) * math.exp(-0.05)
     if x0[1] * x0[2] >= cap:
         raise ModelDomainError("gamma*m0 at x0 is too close to the data scale")
-    excess = (upper[1] * upper[2]) / cap
-    if excess > 1.0:
-        if not defaulted:
-            raise ModelDomainError("bounds admit gamma*m0 beyond the data scale")
-        shrink = math.sqrt(excess)
-        upper = upper.copy()
-        upper[1] /= shrink
-        upper[2] /= shrink
-        upper[1] = max(upper[1], x0[1])
-        upper[2] = max(upper[2], x0[2])
-        if upper[1] * upper[2] >= cap:
-            raise ModelDomainError("gamma*m0 at x0 is too close to the data scale")
+    c_hi = upper[1] * upper[2]
+    if bounds is not None and c_hi > cap:
+        raise ModelDomainError("bounds admit gamma*m0 beyond the data scale")
 
-    n_const, m_const = n, m
+    def project(c):
+        """(log alpha, log m0) minimising the log residuals at c, and that minimum."""
+        k = (ln_n - math.log(c)) / (ln_m - math.log(c))
+        m0_box = [max(lower[2], c / upper[1]), min(upper[2], c / lower[1])]
+        g, h = _box_rows(np.log([lower[0], m0_box[0]]), np.log([upper[0], m0_box[1]]))
+        design = np.column_stack([np.ones_like(k), 1.0 - k])
+        target = ln_p - np.log(k) - (k - 1.0) * ln_m
+        b = _lsq(design, target, g, h)
+        r = design @ b - target
+        return b, float(r @ r)
 
-    def model(x, t):
-        params = PriceLevelParams(alpha=x[0], gamma=x[1], m0=x[2])
-        return price_level(n_const, m_const, params)
-
-    objective = sum_sq_residuals(model, (grid, p), transform="log")
-    problem = FitProblem(
-        objective=objective,
-        x0=x0,
-        lower=lower,
-        upper=upper,
-        names=("alpha", "gamma", "M0"),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    result = minimize(problem)
-    fitted = PriceLevelParams(*result.x)
-    residuals = np.log(price_level(n, m, fitted)) - np.log(p)
-    return replace(result, residuals=residuals)
+    c_box = ([x0[1] * x0[2]], [lower[1] * lower[2]], [min(c_hi, cap)])
+    search = minimize(FitProblem(lambda x: project(x[0])[1], *c_box, ("c",), tol, max_iter))
+    c = float(search.x[0])
+    log_alpha, log_m0 = project(c)[0]
+    m0 = math.exp(log_m0)
+    x = np.clip([math.exp(log_alpha), c / m0, m0], lower, upper)
+    residuals = np.log(price_level(n, m, PriceLevelParams(*x))) - ln_p
+    return _result(x, names, residuals, search.iterations, search.converged)
 
 
 def fit_interest(
@@ -399,8 +441,6 @@ def fit_interest(
     grid,
     x0,
     bounds=None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
     smooth: LoessConfig | None = None,
 ) -> FitResult:
     """Simultaneously fit (k_i, k_p) to long and short rates in log space.
@@ -408,7 +448,10 @@ def fit_interest(
     The long rate pairs aggregate output with the narrow aggregate (for
     example physical currency), the short rate with the full base; both
     share the same two parameters, and the objective is the plain sum of
-    the two markets' log-residual sums.
+    the two markets' log-residual sums. log i = a*log(N/M) + b with
+    a = 1/k_i and b = -log(k_p)/k_i, so the fit is linear least squares
+    in (a, b) on the stacked markets, solved exactly over the image of
+    the (k_i, k_p) box; a bound that binds holds the parameter on it.
     """
     grid = np.asarray(grid, dtype=float)
     n = _prepare(n_ts, grid, smooth)
@@ -416,44 +459,25 @@ def fit_interest(
     m_short = _prepare(m_short_ts, grid, smooth)
     r_long = _prepare(long_rate_ts, grid, smooth)
     r_short = _prepare(short_rate_ts, grid, smooth)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2,) or np.any(x0 <= 0.0):
-        raise DomainError("x0 must be positive (k_i, k_p)")
-    lower, upper = _default_bounds(x0) if bounds is None else (
-        np.asarray(bounds[0], dtype=float),
-        np.asarray(bounds[1], dtype=float),
-    )
+    names = ("k_i", "k_p")
+    x0, lower, upper = _box(x0, bounds, _default_bounds, names, (True, True))
+    ln_n, ln_ml, ln_ms, ln_rl, ln_rs = _logs(n, m_long, m_short, r_long, r_short)
 
-    def model_long(x, t):
-        return interest_rate(n, m_long, InterestParams(k_i=x[0], k_p=x[1]))
-
-    def model_short(x, t):
-        return interest_rate(n, m_short, InterestParams(k_i=x[0], k_p=x[1]))
-
-    obj_long = sum_sq_residuals(model_long, (grid, r_long), transform="log")
-    obj_short = sum_sq_residuals(model_short, (grid, r_short), transform="log")
-
-    def objective(x):
-        return obj_long(x) + obj_short(x)
-
-    problem = FitProblem(
-        objective=objective,
-        x0=x0,
-        lower=lower,
-        upper=upper,
-        names=("k_i", "k_p"),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    result = minimize(problem)
-    fitted = InterestParams(*result.x)
+    design = np.column_stack([np.concatenate([ln_n - ln_ml, ln_n - ln_ms]), np.ones(2 * grid.size)])
+    with np.errstate(divide="ignore"):
+        # 1/k_hi <= a <= 1/k_lo and a*log(p_lo) <= -b <= a*log(p_hi), since a > 0
+        ln_p_lo, ln_p_hi = np.log(lower[1]), np.log(upper[1])
+        g = np.array([[-1.0, 0.0], [1.0, 0.0], [ln_p_lo, 1.0], [-ln_p_hi, -1.0]])
+        h = np.array([-1.0 / upper[0], 1.0 / lower[0], 0.0, 0.0])
+    a, b = _lsq(design, np.concatenate([ln_rl, ln_rs]), g, h)
+    if a <= 0.0:  # only reachable when the k_i box is unbounded above
+        raise ModelDomainError("rates do not rise with N/M, so k_i is unbounded")
+    x = np.clip([1.0 / a, math.exp(-b / a)], lower, upper)
+    fitted = InterestParams(*x)
     residuals = np.concatenate(
-        [
-            np.log(interest_rate(n, m_long, fitted)) - np.log(r_long),
-            np.log(interest_rate(n, m_short, fitted)) - np.log(r_short),
-        ]
+        [np.log(interest_rate(n, m_long, fitted)) - ln_rl, np.log(interest_rate(n, m_short, fitted)) - ln_rs]
     )
-    return replace(result, residuals=residuals)
+    return _result(x, names, residuals)
 
 
 def cobb_douglas_loglinear(capital, labor, output) -> CobbDouglasParams:
@@ -469,9 +493,7 @@ def cobb_douglas_loglinear(capital, labor, output) -> CobbDouglasParams:
     if np.any(kv <= 0.0) or np.any(lv <= 0.0) or np.any(nv <= 0.0):
         raise DomainError("capital, labor, and output must be positive")
     design = np.column_stack([np.ones_like(kv), np.log(kv), np.log(lv)])
-    if np.linalg.matrix_rank(design) < 3:
-        raise RankDeficient("constant or collinear regressors leave k1, k2 unidentified")
-    beta, *_ = np.linalg.lstsq(design, np.log(nv), rcond=None)
+    beta = _lsq(design, np.log(nv), np.empty((0, 3)), np.empty(0))
     return CobbDouglasParams(a=float(math.exp(beta[0])), k1=float(beta[1]), k2=float(beta[2]))
 
 
@@ -482,50 +504,36 @@ def fit_cobb_douglas(
     grid,
     x0=None,
     bounds=None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
     smooth: LoessConfig | None = None,
 ) -> FitResult:
-    """Fit (a, k1, k2) in log space; defaults start from the closed form.
+    """Fit (a, k1, k2) by least squares on logs over a box.
 
-    The log-linear closed form is also the cross-check: with default
-    bounds the search refines it in place, so the two agree tightly.
+    The box (by default a factor 5 in a and +-2 in the exponents around
+    x0, which defaults to the closed form cobb_douglas_loglinear) is
+    solved exactly in (log a, k1, k2); when no bound binds, the result is
+    the closed form.
     """
     grid = np.asarray(grid, dtype=float)
     n = _prepare(n_ts, grid, smooth)
     kv = _prepare(k_ts, grid, smooth)
     lv = _prepare(l_ts, grid, smooth)
-    closed = cobb_douglas_loglinear(kv, lv, n)
     if x0 is None:
-        x0 = np.array([closed.a, closed.k1, closed.k2])
-    else:
-        x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3,) or x0[0] <= 0.0:
-        raise DomainError("x0 must be (a > 0, k1, k2)")
-    if bounds is None:
-        lower = np.array([x0[0] / 5.0, x0[1] - 2.0, x0[2] - 2.0])
-        upper = np.array([x0[0] * 5.0, x0[1] + 2.0, x0[2] + 2.0])
-    else:
-        lower = np.asarray(bounds[0], dtype=float)
-        upper = np.asarray(bounds[1], dtype=float)
+        closed = cobb_douglas_loglinear(kv, lv, n)
+        x0 = (closed.a, closed.k1, closed.k2)
+    names = ("A", "k1", "k2")
 
-    def model(x, t):
-        return cobb_douglas(kv, lv, CobbDouglasParams(a=x[0], k1=x[1], k2=x[2]))
+    def default(x0):
+        return np.r_[x0[0] / 5.0, x0[1:] - 2.0], np.r_[x0[0] * 5.0, x0[1:] + 2.0]
 
-    objective = sum_sq_residuals(model, (grid, n), transform="log")
-    problem = FitProblem(
-        objective=objective,
-        x0=x0,
-        lower=lower,
-        upper=upper,
-        names=("A", "k1", "k2"),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    result = minimize(problem)
-    fitted = CobbDouglasParams(*result.x)
-    residuals = np.log(cobb_douglas(kv, lv, fitted)) - np.log(n)
-    return replace(result, residuals=residuals)
+    x0, lower, upper = _box(x0, bounds, default, names, (True, False, False))
+    ln_n, ln_k, ln_l = _logs(n, kv, lv)
+    design = np.column_stack([np.ones_like(ln_k), ln_k, ln_l])
+    with np.errstate(divide="ignore"):
+        g, h = _box_rows(np.r_[np.log(lower[0]), lower[1:]], np.r_[np.log(upper[0]), upper[1:]])
+    b = _lsq(design, ln_n, g, h)
+    x = np.clip([math.exp(b[0]), b[1], b[2]], lower, upper)
+    residuals = np.log(cobb_douglas(kv, lv, CobbDouglasParams(*x))) - ln_n
+    return _result(x, names, residuals)
 
 
 def fit_report(result: FitResult) -> dict:

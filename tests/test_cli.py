@@ -363,6 +363,12 @@ class TestEnsemble:
                 )
         assert out.stdout == "".join(lines)
 
+    def test_underflowing_partition_function_is_silent(self):
+        out = run_cli("ensemble", "--n0", "2", "--runs", "3", "--seed", "1", "--m-grid", "1:1e300:3")
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert ",inf,inf\n" in out.stdout
+
 
 class TestFluctuation:
     def test_counts_and_exit(self, tmp_path):

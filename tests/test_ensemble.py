@@ -210,6 +210,20 @@ class TestMonteCarloMatchesScalarOracle:
         assert np.any(result.avg_n == 0.0)  # Z(m) saturated to inf
         assert_matches_scalar(result, config)
 
+    def test_underflowing_partition_function_is_silent(self):
+        # every a_i*log(m) above ~745 underflows Z(m) to 0: <N> and the price saturate to inf
+        config = MonteCarloConfig(n0=2, runs=3, m_grid=np.geomspace(1.0, 1e300, 3), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = monte_carlo(config)
+            assert_matches_scalar(result, config)
+            ens = MarketEnsemble([1.2, 1.6])
+            assert partition_fn(ens, 1e300) == 0.0
+            assert avg_output(ens, 1e300) == math.inf
+            assert avg_price(ens, 1e300) == math.inf
+            assert avg_price(MarketEnsemble([-1.2, -1.6]), 1e-300) == -math.inf
+        assert np.any(np.isposinf(result.avg_n)) and np.any(np.isposinf(result.avg_price))
+
     def test_default_run_peak_memory(self):
         tracemalloc.start()
         try:

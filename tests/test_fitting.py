@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from infoeq import (
+    CobbDouglasParams,
     DomainError,
     FitProblem,
     FitResult,
@@ -10,16 +13,21 @@ from infoeq import (
     PriceLevelParams,
     RankDeficient,
     TimeSeries,
+    bundled_params,
+    bundled_series,
+    cobb_douglas,
     cobb_douglas_loglinear,
     fit_cobb_douglas,
     fit_interest,
     fit_price_level,
     fit_report,
     interest_rate,
+    interp_linear,
     minimize,
     price_level,
-    sum_sq_residuals,
 )
+from infoeq import fitting
+from infoeq.fitting import _lsq
 
 
 class TestFitProblem:
@@ -128,48 +136,6 @@ class TestMinimize:
         f = lambda x: float(np.sum(x**2))
         out = minimize(FitProblem(f, np.array([1.0]), names=("gain",)))
         assert set(out.params()) == {"gain"}
-
-
-class TestSumSqResiduals:
-    def grid(self):
-        return np.linspace(0.0, 4.0, 9)
-
-    def line(self, x, t):
-        return x[0] * t + x[1]
-
-    def test_linear(self):
-        t = self.grid()
-        data = TimeSeries(t, 2.0 * t + 1.0)
-        obj = sum_sq_residuals(self.line, data)
-        assert obj(np.array([2.0, 1.0])) == 0.0
-        assert obj(np.array([2.0, 0.0])) == pytest.approx(9.0, rel=1e-14)
-
-    def test_log(self):
-        t = self.grid()
-        data = TimeSeries(t, np.exp(0.3 * t))
-        obj = sum_sq_residuals(lambda x, tt: np.exp(x[0] * tt), data, transform="log")
-        expect = float(np.sum((0.25 * t - 0.3 * t) ** 2))
-        assert obj(np.array([0.25])) == pytest.approx(expect, rel=1e-12)
-
-    def test_tuple_data(self):
-        t = self.grid()
-        obj = sum_sq_residuals(self.line, (t, t + 1.0))
-        assert obj(np.array([1.0, 0.0])) == pytest.approx(9.0, rel=1e-14)
-
-    def test_log_rejects_non_positive_data(self):
-        t = self.grid()
-        with pytest.raises(DomainError):
-            sum_sq_residuals(self.line, (t, t - 1.0), transform="log")
-
-    def test_log_rejects_non_positive_model(self):
-        t = self.grid()
-        obj = sum_sq_residuals(self.line, (t, t + 1.0), transform="log")
-        with pytest.raises(DomainError):
-            obj(np.array([1.0, -1.0]))
-
-    def test_unknown_transform(self):
-        with pytest.raises(DomainError):
-            sum_sq_residuals(self.line, (self.grid(), self.grid() + 1.0), transform="sqrt")
 
 
 def price_level_series(grid, params):
@@ -302,3 +268,282 @@ class TestFitReport:
     def test_no_residuals(self):
         r = FitResult(x=np.array([1.0]), f_star=0.0, iterations=1, converged=True)
         assert "residuals" not in fit_report(r)
+
+
+def assert_kkt(design, target, g, h, b):
+    """b is feasible and 2*design.T@r + g_active.T@lam = 0 for some lam >= 0."""
+    slack = 1e-9 * (1.0 + np.abs(h))
+    assert np.all(g @ b <= h + slack)
+    active = np.isfinite(h) & (np.abs(g @ b - h) <= slack)
+    grad = 2.0 * design.T @ (design @ b - target)
+    lam = np.linalg.lstsq(g[active].T, -grad, rcond=None)[0] if active.any() else np.zeros(0)
+    scale = 2.0 * np.linalg.norm(design.T @ design) * (1.0 + np.linalg.norm(b))
+    assert np.linalg.norm(grad + g[active].T @ lam) <= 1e-9 * scale
+    assert np.all(lam >= -1e-9 * scale)
+    return active
+
+
+class TestLsq:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("binding", [False, True])
+    def test_kkt_certificate_on_random_boxes(self, seed, binding):
+        rng = np.random.default_rng([seed, binding])
+        n = 1 + seed % 3
+        design = rng.normal(size=(30, n)) + np.arange(n)
+        target = rng.normal(size=30)
+        free = np.linalg.lstsq(design, target, rcond=None)[0]
+        # a box around the unconstrained optimum, or one it lies outside of
+        centre = free + (rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n) if binding else 0.0)
+        lower, upper = centre - rng.uniform(0.1, 1.0, n), centre + rng.uniform(0.1, 1.0, n)
+        g = np.vstack([-np.eye(n), np.eye(n), rng.normal(size=(1, n))])
+        h = np.concatenate([-lower, upper, [np.inf]])  # the last row constrains nothing
+        b = _lsq(design, target, g, h)
+        active = assert_kkt(design, target, g, h, b)
+        assert active.any() == binding
+        if not binding:
+            assert b == pytest.approx(free, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kkt_certificate_on_general_rows(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        design = rng.normal(size=(20, 2))
+        target = rng.normal(size=20) + 5.0
+        g = rng.normal(size=(4, 2))
+        h = rng.uniform(0.0, 1.0, 4)  # b = 0 is feasible
+        assert_kkt(design, target, g, h, _lsq(design, target, g, h))
+
+    def test_rank_deficient_design(self):
+        design = np.column_stack([np.ones(5), np.full(5, 2.0)])
+        with pytest.raises(RankDeficient):
+            _lsq(design, np.arange(5.0), np.empty((0, 2)), np.empty(0))
+
+
+def noisy(v, rng, sd=0.01):
+    return v * np.exp(sd * rng.standard_normal(v.size))
+
+
+def ssr(r):
+    return float(r @ r)
+
+
+def search_f(objective, x0, lower, upper):
+    """f that the box-constrained direction-set search reaches from x0."""
+    return minimize(FitProblem(objective, np.asarray(x0, dtype=float), lower, upper, tol=1e-12)).f_star
+
+
+GRID = np.linspace(1960.0, 2014.0, 80)
+U = GRID - GRID[0]
+N = 600.0 * np.exp(0.068 * U - 1.5e-4 * U**2)
+M = 32.0 * np.exp(0.052 * U + 0.75e-4 * U**2)
+MB = M * (1.6 + 0.01 * U)
+CAPITAL = 2000.0 * np.exp(0.055 * U - 2e-4 * U**2)
+LABOR = 120.0 * np.exp(0.018 * U + 1e-4 * U**2)
+PL = PriceLevelParams(alpha=0.641, gamma=5.93e-4, m0=603.8)
+IR = InterestParams(k_i=3.49, k_p=0.124)
+CD = CobbDouglasParams(a=0.0024, k1=0.44, k2=0.84)
+
+
+def ts(v, grid=GRID):
+    return TimeSeries(grid, v)
+
+
+class TestExactFitsMatchSearch:
+    """Each exact fit reaches at most the search's f on the same objective and box."""
+
+    def test_price_level_noisy_synthetic(self):
+        p = noisy(price_level(N, M, PL), np.random.default_rng(1))
+        x0 = np.array([PL.alpha * 1.3, PL.gamma * 0.7, PL.m0 * 1.2])
+        out = fit_price_level(ts(N), ts(M), ts(p), GRID, x0)
+        assert out.converged
+
+        def objective(x):
+            return ssr(np.log(price_level(N, M, PriceLevelParams(*x))) - np.log(p))
+
+        assert out.f_star == pytest.approx(objective(out.x), rel=1e-12)
+        assert out.f_star <= search_f(objective, x0, x0 / 5.0, x0 * 5.0) * (1.0 + 1e-8)
+
+    def test_price_level_binding_gamma_bound(self):
+        p = noisy(price_level(N, M, PL), np.random.default_rng(4))
+        x0 = np.array([PL.alpha * 1.3, PL.gamma * 0.7, PL.m0 * 1.2])
+        lower, upper = x0 / 5.0, x0 * np.array([5.0, 1.1, 5.0])
+        out = fit_price_level(ts(N), ts(M), ts(p), GRID, x0, bounds=(lower, upper))
+        assert out.params()["gamma"] == pytest.approx(upper[1], rel=1e-9)
+        assert np.all(out.x >= lower) and np.all(out.x <= upper)
+
+        def objective(x):
+            return ssr(np.log(price_level(N, M, PriceLevelParams(*x))) - np.log(p))
+
+        assert out.f_star <= search_f(objective, x0, lower, upper) * (1.0 + 1e-8)
+
+    def test_price_level_cli_tour_fit(self):
+        # the fit in demos/08_cli_tour.sh
+        grid = np.linspace(1960.0, 2014.0, 55)
+        series = [bundled_series(name) for name in ("gdp", "mbcurrcir", "pcepilfe")]
+        n, m, p = (np.asarray(interp_linear(s, grid)) for s in series)
+        x0 = np.array([78.0, 4.7e-4, 720.0])
+        out = fit_price_level(*series, grid, x0)
+        assert out.converged
+
+        def objective(x):
+            return ssr(np.log(price_level(n, m, PriceLevelParams(*x))) - np.log(p))
+
+        assert out.f_star == pytest.approx(objective(out.x), rel=1e-12)
+        assert out.f_star <= search_f(objective, x0, x0 / 5.0, x0 * 5.0) * (1.0 + 1e-8)
+
+    def test_interest_noisy_synthetic(self):
+        rng = np.random.default_rng(2)
+        r_long = noisy(interest_rate(N, M, IR), rng)
+        r_short = noisy(interest_rate(N, MB, IR), rng)
+        x0 = np.array([IR.k_i * 1.2, IR.k_p * 0.8])
+        out = fit_interest(ts(N), ts(M), ts(MB), ts(r_long), ts(r_short), GRID, x0)
+
+        def objective(x):
+            params = InterestParams(*x)
+            return ssr(np.log(interest_rate(N, M, params)) - np.log(r_long)) + ssr(
+                np.log(interest_rate(N, MB, params)) - np.log(r_short)
+            )
+
+        assert out.f_star == pytest.approx(objective(out.x), rel=1e-12)
+        assert out.f_star <= search_f(objective, x0, x0 / 5.0, x0 * 5.0) * (1.0 + 1e-8)
+
+    def test_cobb_douglas_noisy_synthetic(self):
+        output = noisy(cobb_douglas(CAPITAL, LABOR, CD), np.random.default_rng(3))
+        x0 = np.array([CD.a * 1.2, CD.k1 * 0.8, CD.k2 * 1.2])
+        out = fit_cobb_douglas(ts(output), ts(CAPITAL), ts(LABOR), GRID, x0)
+
+        def objective(x):
+            return ssr(np.log(cobb_douglas(CAPITAL, LABOR, CobbDouglasParams(*x))) - np.log(output))
+
+        lower = np.array([x0[0] / 5.0, x0[1] - 2.0, x0[2] - 2.0])
+        upper = np.array([x0[0] * 5.0, x0[1] + 2.0, x0[2] + 2.0])
+        assert out.f_star == pytest.approx(objective(out.x), rel=1e-12)
+        assert out.f_star <= search_f(objective, x0, lower, upper) * (1.0 + 1e-8)
+
+
+class TestFitInterestBox:
+    GRID = np.linspace(1960.0, 2014.0, 55)
+
+    def bundled(self):
+        names = ("gdp", "mbcurrcir", "ambsl", "gs10", "tb3ms")
+        return [bundled_series(name) for name in names], self.GRID
+
+    def test_default_box_holds_k_p_on_its_upper_bound(self):
+        series, grid = self.bundled()
+        cal = bundled_params()
+        x0 = np.array([cal["k_i"], cal["k_p"]])
+        out = fit_interest(*series, grid, x0)
+        assert out.converged
+        assert out.params()["k_p"] == pytest.approx(5.0 * cal["k_p"], rel=1e-12)
+        assert out.params()["k_p"] <= 5.0 * cal["k_p"]
+        assert 0.2 * cal["k_i"] < out.params()["k_i"] < 5.0 * cal["k_i"]
+
+    def test_wide_box_reproduces_lstsq_on_stacked_logs(self):
+        series, grid = self.bundled()
+        n, m_long, m_short, r_long, r_short = (np.asarray(interp_linear(s, grid)) for s in series)
+        x0 = np.array([3.49, 0.124])
+        out = fit_interest(*series, grid, x0, bounds=(np.zeros(2), np.full(2, np.inf)))
+        design = np.column_stack(
+            [np.log(np.concatenate([n / m_long, n / m_short])), np.ones(2 * grid.size)]
+        )
+        a, b = np.linalg.lstsq(design, np.log(np.concatenate([r_long, r_short])), rcond=None)[0]
+        assert out.params()["k_i"] == pytest.approx(1.0 / a, rel=1e-10)
+        assert out.params()["k_p"] == pytest.approx(np.exp(-b / a), rel=1e-10)
+
+
+    def test_rates_falling_with_n_over_m_leave_k_i_unbounded(self):
+        # with no upper bound on k_i the best slope 1/k_i is 0
+        rate = 0.05 * np.exp(-0.01 * U)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError, match="k_i is unbounded"):
+                fit_interest(
+                    ts(N), ts(M), ts(MB), ts(rate), ts(rate), GRID, np.array([3.0, 0.2]),
+                    bounds=(np.zeros(2), np.full(2, np.inf)),
+                )
+
+
+class TestClosedFormsDoNotSearch:
+    def test_interest_and_cobb_douglas_call_no_search(self, monkeypatch):
+        def no_search(problem):
+            raise AssertionError("closed-form fit called minimize")
+
+        monkeypatch.setattr(fitting, "minimize", no_search)
+        r_long, r_short = interest_rate(N, M, IR), interest_rate(N, MB, IR)
+        fit_interest(ts(N), ts(M), ts(MB), ts(r_long), ts(r_short), GRID, np.array([3.0, 0.2]))
+        fit_cobb_douglas(ts(cobb_douglas(CAPITAL, LABOR, CD)), ts(CAPITAL), ts(LABOR), GRID)
+
+    def test_price_level_searches_one_parameter(self, monkeypatch):
+        sizes = []
+
+        def recording(problem):
+            sizes.append(problem.x0.size)
+            return minimize(problem)
+
+        monkeypatch.setattr(fitting, "minimize", recording)
+        fit_price_level(ts(N), ts(M), ts(price_level(N, M, PL)), GRID, np.array([0.5, 7e-4, 500.0]))
+        assert sizes == [1]
+
+
+def fit_call(model, sign=1.0):
+    """fit(x0, bounds) on synthetic data whose fitted series is multiplied by sign."""
+    if model == "price-level":
+        data = (ts(N), ts(M), ts(sign * price_level(N, M, PL)))
+        return lambda x0, bounds: fit_price_level(*data, GRID, x0, bounds), np.array([0.6, 6e-4, 600.0])
+    if model == "interest":
+        data = (ts(N), ts(M), ts(MB), ts(sign * interest_rate(N, M, IR)), ts(interest_rate(N, MB, IR)))
+        return lambda x0, bounds: fit_interest(*data, GRID, x0, bounds), np.array([3.0, 0.2])
+    data = (ts(sign * cobb_douglas(CAPITAL, LABOR, CD)), ts(CAPITAL), ts(LABOR))
+    return lambda x0, bounds: fit_cobb_douglas(*data, GRID, x0, bounds), np.array([0.002, 0.5, 0.8])
+
+
+INVALID = {
+    "x0 wrong shape": lambda x0: (x0[:-1], None),
+    "x0 not finite": lambda x0: (np.r_[x0[:-1], np.nan], None),
+    "x0 not positive": lambda x0: (np.r_[-x0[0], x0[1:]], None),
+    "bounds wrong shape": lambda x0: (x0, (x0[:-1] / 2.0, x0[:-1] * 2.0)),
+    "lower above upper": lambda x0: (x0, (x0 * 2.0, x0 / 2.0)),
+    "x0 outside explicit box": lambda x0: (x0, (x0 * 1.5, x0 * 2.0)),
+    "negative bound on a positive parameter": lambda x0: (x0, (np.r_[-1.0, x0[1:] / 2.0], x0 * 2.0)),
+}
+
+
+class TestFitValidation:
+    @pytest.mark.parametrize("model", ["price-level", "interest", "cobb-douglas"])
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_rejects_invalid_start_or_box(self, model, case):
+        fit, x0 = fit_call(model)
+        fit(x0, None)  # the valid problem fits
+        with pytest.raises(DomainError):
+            fit(*INVALID[case](x0))
+
+    @pytest.mark.parametrize("model", ["price-level", "interest", "cobb-douglas"])
+    def test_log_transform_requires_positive_data(self, model):
+        fit, x0 = fit_call(model, sign=-1.0)
+        with pytest.raises(DomainError, match="positive data"):
+            fit(x0, None)
+
+    @pytest.mark.parametrize("model", ["price-level", "interest", "cobb-douglas"])
+    def test_returned_parameters_lie_in_the_box(self, model):
+        fit, x0 = fit_call(model)
+        lower, upper = x0 * 0.9, x0 * 1.05
+        out = fit(x0, (lower, upper))
+        assert np.all(out.x >= lower) and np.all(out.x <= upper)
+        assert out.f_star == float(out.residuals @ out.residuals)
+
+
+class TestRankDeficientFits:
+    def test_price_level_on_one_point_grid(self):
+        grid = np.array([1990.0])
+        with pytest.raises(RankDeficient):
+            fit_price_level(ts(N), ts(M), ts(price_level(N, M, PL)), grid, np.array([0.6, 6e-4, 600.0]))
+
+    def test_cobb_douglas_on_one_point_grid(self):
+        grid = np.array([1990.0])
+        with pytest.raises(RankDeficient):
+            fit_cobb_douglas(ts(cobb_douglas(CAPITAL, LABOR, CD)), ts(CAPITAL), ts(LABOR), grid)
+
+    def test_interest_on_constant_n_over_m(self):
+        m = 0.05 * N
+        rate = interest_rate(N, m, IR)
+        with pytest.raises(RankDeficient):
+            fit_interest(ts(N), ts(m), ts(m), ts(rate), ts(rate), GRID, np.array([3.0, 0.2]))
