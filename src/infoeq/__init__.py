@@ -8,223 +8,26 @@ identities, production functions, AD-AS and IS-LM diagrams, and a
 statistical ensemble of many small markets.
 """
 
-from .data import (
-    SERIES,
-    SeriesInfo,
-    bundled_params,
-    bundled_path,
-    bundled_series,
-    series_names,
-)
-from .ensemble import (
-    EntropyParams,
-    FluctuationResult,
-    MarketEnsemble,
-    MonteCarloConfig,
-    MonteCarloResult,
-    avg_index,
-    avg_output,
-    avg_price,
-    entropy,
-    entropy_delta,
-    entropy_stirling,
-    fluctuation_comparison,
-    monte_carlo,
-    partition_fn,
-    series_changes,
-)
-from .errors import (
-    DegenerateEquilibrium,
-    DomainError,
-    DuplicateTimestamp,
-    EmptyFile,
-    InfoEqError,
-    InsufficientData,
-    ModelDomainError,
-    NonConvergence,
-    OutOfRange,
-    ParseError,
-    RankDeficient,
-    SingularFit,
-)
-from .fitting import (
-    FitProblem,
-    FitResult,
-    cobb_douglas_loglinear,
-    fit_cobb_douglas,
-    fit_interest,
-    fit_price_level,
-    fit_report,
-    minimize,
-)
-from .macro import (
-    ADASCurves,
-    CobbDouglasParams,
-    CurveShift,
-    InterestParams,
-    ISLMCurves,
-    PriceLevelParams,
-    SolowCapitalParams,
-    adas_curves,
-    adas_equilibrium,
-    cobb_douglas,
-    growth_relations,
-    inflation_model,
-    interest_rate,
-    islm_curves,
-    islm_equilibrium,
-    k_index,
-    k_index_gradient,
-    money_mediation,
-    okun_hours,
-    output_investment_relation,
-    price_level,
-    price_level_at_index,
-    ridge_sigma,
-    solow_crossing,
-    solow_depreciation,
-    solow_equilibrium,
-    solow_investment,
-)
-from .paramfile import (
-    cobb_douglas_params,
-    interest_params,
-    load_params,
-    price_level_params,
-    save_params,
-)
-from .relations import (
-    IERelation,
-    LinearizedCurves,
-    compose,
-    constant_price,
-    constant_price_delta,
-    demand_curve,
-    elasticities,
-    ge_price,
-    ge_source,
-    invert,
-    linearize,
-    ode_oracle,
-    supply_curve,
-)
-from .timeseries import (
-    LoessConfig,
-    TimeSeries,
-    align,
-    decimal_year,
-    interp_linear,
-    load_csv,
-    loess_smooth,
-    log_growth,
-    save_csv,
-)
+from . import data, ensemble, errors, fitting, macro, paramfile, relations, timeseries
+from .data import *  # noqa: F403
+from .ensemble import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fitting import *  # noqa: F403
+from .macro import *  # noqa: F403
+from .paramfile import *  # noqa: F403
+from .relations import *  # noqa: F403
+from .timeseries import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # relations
-    "IERelation",
-    "LinearizedCurves",
-    "ge_source",
-    "ge_price",
-    "demand_curve",
-    "supply_curve",
-    "linearize",
-    "elasticities",
-    "constant_price",
-    "constant_price_delta",
-    "invert",
-    "compose",
-    "ode_oracle",
-    # time series
-    "TimeSeries",
-    "LoessConfig",
-    "decimal_year",
-    "load_csv",
-    "save_csv",
-    "interp_linear",
-    "loess_smooth",
-    "log_growth",
-    "align",
-    # macro
-    "PriceLevelParams",
-    "InterestParams",
-    "CobbDouglasParams",
-    "SolowCapitalParams",
-    "CurveShift",
-    "ADASCurves",
-    "ISLMCurves",
-    "k_index",
-    "k_index_gradient",
-    "price_level",
-    "price_level_at_index",
-    "inflation_model",
-    "growth_relations",
-    "interest_rate",
-    "okun_hours",
-    "cobb_douglas",
-    "solow_investment",
-    "solow_depreciation",
-    "solow_equilibrium",
-    "solow_crossing",
-    "adas_curves",
-    "adas_equilibrium",
-    "islm_curves",
-    "islm_equilibrium",
-    "money_mediation",
-    "output_investment_relation",
-    "ridge_sigma",
-    # ensemble
-    "MarketEnsemble",
-    "MonteCarloConfig",
-    "MonteCarloResult",
-    "EntropyParams",
-    "FluctuationResult",
-    "partition_fn",
-    "avg_index",
-    "avg_output",
-    "avg_price",
-    "monte_carlo",
-    "entropy",
-    "entropy_stirling",
-    "entropy_delta",
-    "series_changes",
-    "fluctuation_comparison",
-    # fitting
-    "FitProblem",
-    "FitResult",
-    "minimize",
-    "fit_price_level",
-    "fit_interest",
-    "fit_cobb_douglas",
-    "cobb_douglas_loglinear",
-    "fit_report",
-    # parameter files
-    "load_params",
-    "save_params",
-    "price_level_params",
-    "interest_params",
-    "cobb_douglas_params",
-    # bundled data
-    "SERIES",
-    "SeriesInfo",
-    "series_names",
-    "bundled_params",
-    "bundled_path",
-    "bundled_series",
-    # errors
-    "InfoEqError",
-    "ParseError",
-    "EmptyFile",
-    "DuplicateTimestamp",
-    "DomainError",
-    "OutOfRange",
-    "ModelDomainError",
-    "SingularFit",
-    "DegenerateEquilibrium",
-    "RankDeficient",
-    "InsufficientData",
-    "NonConvergence",
+    *relations.__all__,
+    *timeseries.__all__,
+    *macro.__all__,
+    *ensemble.__all__,
+    *fitting.__all__,
+    *paramfile.__all__,
+    *data.__all__,
+    *errors.__all__,
 ]

@@ -1,0 +1,46 @@
+"""The two argument rules every closed form shares.
+
+Arguments must be finite, and most must be positive; a 0-d input gives
+a Python float back and an array input gives an array back. Each rule
+is written here once.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
+
+from .errors import DomainError
+
+
+def scalar(out):
+    """A Python float for a 0-d result; arrays pass through unchanged."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def positive(value, label: str, error=DomainError):
+    """value as floats (a float if 0-d); raises error unless every entry
+    is positive and finite."""
+    arr = np.asarray(value, dtype=float)
+    if not ((arr > 0.0) & (arr < math.inf)).all():  # False for NaN
+        raise error(f"{label} must be positive and finite")
+    return scalar(arr)
+
+
+def finite(value, label: str, error=DomainError):
+    """value as floats (a float if 0-d); raises error unless every entry
+    is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise error(f"{label} must be finite")
+    return scalar(arr)
+
+
+def fields(obj, *labels: str, check=positive) -> None:
+    """Apply check to the named fields of a params dataclass. A field
+    that is not a real number (a string, an array) fails its check."""
+    for label in labels:
+        value = getattr(obj, label)
+        check(value if isinstance(value, numbers.Real) else math.nan, label)

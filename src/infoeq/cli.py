@@ -292,6 +292,8 @@ def _cmd_fit(args, parser: _Parser) -> int:
         result = fit_cobb_douglas(series["n"], series["k"], series["l"], grid, x0, smooth=smooth)
 
     _emit(json.dumps(fit_report(result), indent=2) + "\n", args.output)
+    if result.at_bound:
+        print(f"infoeq: warning: fit ended on a bound: {', '.join(result.at_bound)}", file=sys.stderr)
     return 0 if result.converged else 4
 
 

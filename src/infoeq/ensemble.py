@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import fields, finite, positive
 from .errors import DomainError, InsufficientData, ModelDomainError
 from .timeseries import TimeSeries
 
@@ -53,8 +54,7 @@ class MarketEnsemble:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise DomainError("a must be a non-empty 1-d array")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("index draws must be finite")
+        finite(a, "index draws")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -65,13 +65,6 @@ class MarketEnsemble:
 
 # float64 elements in one Monte Carlo block (256 KiB); bounds its temporaries
 _BLOCK = 1 << 15
-
-
-def _check_m(m) -> float:
-    m = float(m)
-    if not math.isfinite(m) or m <= 0.0:
-        raise DomainError("m must be positive and finite")
-    return m
 
 
 def _weights(ens: MarketEnsemble, m: float) -> tuple[np.ndarray, float]:
@@ -87,7 +80,7 @@ def partition_fn(ens: MarketEnsemble, m) -> float:
     Matches the naive sum to full precision where the naive sum does not
     overflow, and stays finite far beyond it. Z(1) is exactly n0.
     """
-    w, shift = _weights(ens, _check_m(m))
+    w, shift = _weights(ens, positive(m, "m"))
     with np.errstate(over="ignore"):
         # exp(0) == 1 keeps Z(1) == n0 exact; huge shifts saturate to inf
         return float(np.exp(shift) * np.sum(w))
@@ -98,7 +91,7 @@ def avg_index(ens: MarketEnsemble, m) -> float:
 
     Non-increasing in m: larger m concentrates weight on smaller a_i.
     """
-    w, _ = _weights(ens, _check_m(m))
+    w, _ = _weights(ens, positive(m, "m"))
     return float(np.sum(ens.a * w) / np.sum(w))
 
 
@@ -120,7 +113,7 @@ def avg_price(ens: MarketEnsemble, m) -> float:
     rounding but overflows first. Saturates to +-inf, with the sign of
     sum(a), where m*Z(m) underflows to 0.
     """
-    m = _check_m(m)
+    m = positive(m, "m")
     total, mz = float(np.sum(ens.a)), m * partition_fn(ens, m)
     return total / mz if mz > 0.0 else math.copysign(math.inf, total)
 
@@ -148,15 +141,13 @@ class MonteCarloConfig:
     def __post_init__(self):
         if int(self.n0) < 1 or int(self.runs) < 1:
             raise DomainError("n0 and runs must be at least 1")
-        if not (math.isfinite(self.a_mean) and math.isfinite(self.a_sd)):
-            raise DomainError("a_mean and a_sd must be finite")
+        fields(self, "a_mean", "a_sd", check=finite)
         if self.a_sd < 0.0:
             raise DomainError("a_sd must be non-negative")
         grid = np.asarray(self.m_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise DomainError("m_grid must be a non-empty 1-d array")
-        if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
-            raise DomainError("m_grid values must be positive and finite")
+        positive(grid, "m_grid values")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise DomainError("m_grid must be strictly increasing")
         grid.flags.writeable = False
@@ -193,8 +184,7 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(run,)))
         draws[run] = rng.normal(config.a_mean, config.a_sd, n0)
-    if not np.all(np.isfinite(draws)):
-        raise DomainError("index draws must be finite")
+    finite(draws, "index draws")
     # math.log as in _weights: np.log may differ from it in the last bit
     neg_log_m = np.array([-math.log(m) for m in grid.tolist()])
     cols = min(grid.size, max(1, _BLOCK // n0))
@@ -231,10 +221,7 @@ class EntropyParams:
     m0: float
 
     def __post_init__(self):
-        for label in ("k", "gamma", "m0"):
-            value = float(getattr(self, label))
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{label} must be positive and finite")
+        fields(self, "k", "gamma", "m0")
 
 
 def _occupation(n, params: EntropyParams) -> float:

@@ -4,6 +4,21 @@ The CLI maps these onto exit codes: parse problems exit 2, model/domain
 problems exit 3, non-convergence exits 4.
 """
 
+__all__ = [
+    "InfoEqError",
+    "ParseError",
+    "EmptyFile",
+    "DuplicateTimestamp",
+    "DomainError",
+    "OutOfRange",
+    "ModelDomainError",
+    "SingularFit",
+    "DegenerateEquilibrium",
+    "RankDeficient",
+    "InsufficientData",
+    "NonConvergence",
+]
+
 
 class InfoEqError(Exception):
     """Base class for all package errors."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import positive
 from .errors import DomainError, ModelDomainError, RankDeficient
 from .macro import (
     CobbDouglasParams,
@@ -72,24 +73,16 @@ class FitProblem:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
-            raise DomainError("x0 must be a finite 1-d array")
-        lower = np.full(x0.size, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float)
-        upper = np.full(x0.size, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if lower.shape != x0.shape or upper.shape != x0.shape:
-            raise DomainError("bounds must match x0 in shape")
-        if np.any(lower > upper):
-            raise DomainError("lower bound exceeds upper bound")
-        if np.any(x0 < lower) or np.any(x0 > upper):
-            raise DomainError("x0 must lie inside the bounds")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise DomainError("tol must be positive and finite")
+        size = np.size(self.x0)
+        names = tuple(self.names) if self.names else tuple(f"x{i}" for i in range(size))
+        if size == 0 or len(names) != size:
+            raise DomainError("x0 must be non-empty and match names in length")
+        inf = np.full(size, np.inf)
+        bounds = (-inf if self.lower is None else self.lower, inf if self.upper is None else self.upper)
+        x0, lower, upper = _box(self.x0, bounds, None, names, [False] * size)
+        positive(self.tol, "tol")
         if int(self.max_iter) < 1:
             raise DomainError("max_iter must be at least 1")
-        names = tuple(self.names) if self.names else tuple(f"x{i}" for i in range(x0.size))
-        if len(names) != x0.size:
-            raise DomainError("names must match x0 in length")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -99,7 +92,8 @@ class FitProblem:
 @dataclass(frozen=True)
 class FitResult:
     """Fit output. f_star never exceeds the objective at x0; for the model
-    fits it is residuals @ residuals at x."""
+    fits it is residuals @ residuals at x, and at_bound names the
+    parameters that end on a bound of the box."""
 
     x: np.ndarray
     f_star: float
@@ -107,6 +101,7 @@ class FitResult:
     converged: bool
     names: tuple[str, ...] = ()
     residuals: np.ndarray | None = None
+    at_bound: tuple[str, ...] = ()
 
     def params(self) -> dict[str, float]:
         return {name: float(v) for name, v in zip(self.names, self.x)}
@@ -368,8 +363,16 @@ def _default_bounds(x0: np.ndarray, spread: float = 5.0):
     return x0 / spread, x0 * spread
 
 
-def _result(x, names, residuals, iterations=1, converged=True) -> FitResult:
-    return FitResult(x, float(residuals @ residuals), iterations, converged, names, residuals)
+def _result(x, lower, upper, names, residuals, iterations=1, converged=True) -> FitResult:
+    """FitResult of the parameters x, already clipped into [lower, upper].
+
+    A parameter within the solver's feasibility slack (1e-10 relative)
+    of a bound counts as on it: the exact solve puts an active bound
+    there only to rounding.
+    """
+    on = np.isclose(x, lower, rtol=1e-10, atol=0.0) | np.isclose(x, upper, rtol=1e-10, atol=0.0)
+    at_bound = tuple(name for name, hit in zip(names, on) if hit)
+    return FitResult(x, float(residuals @ residuals), iterations, converged, names, residuals, at_bound)
 
 
 def fit_price_level(
@@ -429,7 +432,7 @@ def fit_price_level(
     m0 = math.exp(log_m0)
     x = np.clip([math.exp(log_alpha), c / m0, m0], lower, upper)
     residuals = np.log(price_level(n, m, PriceLevelParams(*x))) - ln_p
-    return _result(x, names, residuals, search.iterations, search.converged)
+    return _result(x, lower, upper, names, residuals, search.iterations, search.converged)
 
 
 def fit_interest(
@@ -477,7 +480,7 @@ def fit_interest(
     residuals = np.concatenate(
         [np.log(interest_rate(n, m_long, fitted)) - ln_rl, np.log(interest_rate(n, m_short, fitted)) - ln_rs]
     )
-    return _result(x, names, residuals)
+    return _result(x, lower, upper, names, residuals)
 
 
 def cobb_douglas_loglinear(capital, labor, output) -> CobbDouglasParams:
@@ -487,11 +490,9 @@ def cobb_douglas_loglinear(capital, labor, output) -> CobbDouglasParams:
     are collinear in logs), in which case the exponents are not
     identified.
     """
-    kv = np.asarray(capital, dtype=float)
-    lv = np.asarray(labor, dtype=float)
-    nv = np.asarray(output, dtype=float)
-    if np.any(kv <= 0.0) or np.any(lv <= 0.0) or np.any(nv <= 0.0):
-        raise DomainError("capital, labor, and output must be positive")
+    kv = positive(capital, "capital")
+    lv = positive(labor, "labor")
+    nv = positive(output, "output")
     design = np.column_stack([np.ones_like(kv), np.log(kv), np.log(lv)])
     beta = _lsq(design, np.log(nv), np.empty((0, 3)), np.empty(0))
     return CobbDouglasParams(a=float(math.exp(beta[0])), k1=float(beta[1]), k2=float(beta[2]))
@@ -533,16 +534,18 @@ def fit_cobb_douglas(
     b = _lsq(design, ln_n, g, h)
     x = np.clip([math.exp(b[0]), b[1], b[2]], lower, upper)
     residuals = np.log(cobb_douglas(kv, lv, CobbDouglasParams(*x))) - ln_n
-    return _result(x, names, residuals)
+    return _result(x, lower, upper, names, residuals)
 
 
 def fit_report(result: FitResult) -> dict:
-    """Plain-dict summary of a fit: parameters, objective, residual stats."""
+    """Plain-dict summary of a fit: parameters, objective, the parameters
+    on a bound, residual stats."""
     report = {
         "parameters": result.params(),
         "f_star": float(result.f_star),
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
+        "at_bound": list(result.at_bound),
     }
     if result.residuals is not None and result.residuals.size:
         r = result.residuals

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import fields, finite, positive, scalar
 from .errors import DegenerateEquilibrium, DomainError, ModelDomainError
 from .relations import IERelation, ge_price
 from .timeseries import LoessConfig, TimeSeries, interp_linear, loess_smooth, log_growth
@@ -53,13 +54,6 @@ __all__ = [
 ]
 
 
-def _positive_scalar(value, label: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{label} must be positive and finite")
-    return value
-
-
 @dataclass(frozen=True)
 class PriceLevelParams:
     """Price level P = alpha * k(N, M) * (M/m0)**(k-1).
@@ -73,8 +67,7 @@ class PriceLevelParams:
     m0: float
 
     def __post_init__(self):
-        for label in ("alpha", "gamma", "m0"):
-            _positive_scalar(getattr(self, label), label)
+        fields(self, "alpha", "gamma", "m0")
 
 
 @dataclass(frozen=True)
@@ -85,8 +78,7 @@ class InterestParams:
     k_p: float
 
     def __post_init__(self):
-        _positive_scalar(self.k_i, "k_i")
-        _positive_scalar(self.k_p, "k_p")
+        fields(self, "k_i", "k_p")
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,8 @@ class CobbDouglasParams:
     k2: float
 
     def __post_init__(self):
-        _positive_scalar(self.a, "a")
-        for label in ("k1", "k2"):
-            value = float(getattr(self, label))
-            if not math.isfinite(value):
-                raise DomainError(f"{label} must be finite")
+        fields(self, "a")
+        fields(self, "k1", "k2", check=finite)
 
 
 @dataclass(frozen=True)
@@ -118,8 +107,7 @@ class SolowCapitalParams:
     dep0: float
 
     def __post_init__(self):
-        for label in ("sigma", "delta", "k0", "i0", "dep0"):
-            _positive_scalar(getattr(self, label), label)
+        fields(self, "sigma", "delta", "k0", "i0", "dep0")
 
 
 @dataclass(frozen=True)
@@ -133,10 +121,7 @@ class CurveShift:
 
 def _log_ratio(value, scale: float, label: str):
     """log(value/scale) requiring value/scale > 1 (log must stay positive)."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ModelDomainError(f"{label} must be finite")
-    ratio = arr / scale
+    ratio = finite(value, label, ModelDomainError) / scale
     if np.any(ratio <= 1.0):
         raise ModelDomainError(
             f"{label}/(gamma*m0) must exceed 1 (got min {np.min(ratio)!r})"
@@ -147,8 +132,7 @@ def _log_ratio(value, scale: float, label: str):
 def k_index(n, m, params: PriceLevelParams):
     """Information-transfer index k(N, M) = log(N/(gamma*m0)) / log(M/(gamma*m0))."""
     scale = params.gamma * params.m0
-    out = _log_ratio(n, scale, "n") / _log_ratio(m, scale, "m")
-    return float(out) if out.ndim == 0 else out
+    return scalar(_log_ratio(n, scale, "n") / _log_ratio(m, scale, "m"))
 
 
 def k_index_gradient(n, m, params: PriceLevelParams):
@@ -165,21 +149,16 @@ def k_index_gradient(n, m, params: PriceLevelParams):
     m = np.asarray(m, dtype=float)
     dk_dn = 1.0 / (n * log_m)
     dk_dm = -log_n / (m * log_m**2)
-    if dk_dn.ndim == 0:
-        return float(dk_dn), float(dk_dm)
-    return dk_dn, dk_dm
+    return scalar(dk_dn), scalar(dk_dm)
 
 
 def price_level_at_index(k, m, alpha: float, m0: float):
     """Core price level P = alpha * k * (m/m0)**(k-1) at a given index k."""
-    _positive_scalar(alpha, "alpha")
-    _positive_scalar(m0, "m0")
-    k = np.asarray(k, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if np.any(k <= 0.0) or np.any(m <= 0.0):
-        raise ModelDomainError("k and m must be positive")
-    out = np.exp(np.log(k) + math.log(alpha) + (k - 1.0) * (np.log(m) - math.log(m0)))
-    return float(out) if out.ndim == 0 else out
+    positive(alpha, "alpha")
+    positive(m0, "m0")
+    k = positive(k, "k", ModelDomainError)
+    m = positive(m, "m", ModelDomainError)
+    return scalar(np.exp(np.log(k) + math.log(alpha) + (k - 1.0) * (np.log(m) - math.log(m0))))
 
 
 def price_level(n, m, params: PriceLevelParams):
@@ -215,13 +194,9 @@ def growth_relations(k, m_growth):
 
     Returns (inflation, output growth) = ((k-1)*m_growth, k*m_growth).
     """
-    k = np.asarray(k, dtype=float)
-    m_growth = np.asarray(m_growth, dtype=float)
-    pi = (k - 1.0) * m_growth
-    n_growth = k * m_growth
-    if pi.ndim == 0 and n_growth.ndim == 0:
-        return float(pi), float(n_growth)
-    return pi, n_growth
+    k = finite(k, "k", ModelDomainError)
+    m_growth = finite(m_growth, "m_growth", ModelDomainError)
+    return scalar((k - 1.0) * m_growth), scalar(k * m_growth)
 
 
 def interest_rate(n, m, params: InterestParams):
@@ -229,12 +204,9 @@ def interest_rate(n, m, params: InterestParams):
 
     Homogeneous of degree zero in (n, m): only the ratio matters.
     """
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if np.any(n <= 0.0) or np.any(m <= 0.0):
-        raise ModelDomainError("n and m must be positive")
-    out = np.exp((np.log(n) - np.log(m) - math.log(params.k_p)) / params.k_i)
-    return float(out) if out.ndim == 0 else out
+    n = positive(n, "n", ModelDomainError)
+    m = positive(m, "m", ModelDomainError)
+    return scalar(np.exp((np.log(n) - np.log(m) - math.log(params.k_p)) / params.k_i))
 
 
 def okun_hours(n_ts: TimeSeries, p_ts: TimeSeries, k_h: float, grid) -> TimeSeries:
@@ -243,12 +215,10 @@ def okun_hours(n_ts: TimeSeries, p_ts: TimeSeries, k_h: float, grid) -> TimeSeri
     log_growth of the result equals the real-output growth rate, which is
     the Okun-style link between hours growth and RGDP growth.
     """
-    _positive_scalar(k_h, "k_h")
+    positive(k_h, "k_h", ModelDomainError)
     grid = np.asarray(grid, dtype=float)
-    n = np.asarray(interp_linear(n_ts, grid), dtype=float)
-    p = np.asarray(interp_linear(p_ts, grid), dtype=float)
-    if np.any(p <= 0.0) or np.any(n <= 0.0):
-        raise ModelDomainError("n and p must be positive")
+    n = positive(interp_linear(n_ts, grid), "n", ModelDomainError)
+    p = positive(interp_linear(p_ts, grid), "p", ModelDomainError)
     return TimeSeries(grid, n / p / k_h, name="hours", units="h")
 
 
@@ -262,34 +232,23 @@ def cobb_douglas(capital, labor, params: CobbDouglasParams):
     if as_series:
         if not np.array_equal(capital.t, labor.t):
             raise DomainError("capital and labor series must share timestamps")
-        t, kv, lv = capital.t, capital.v, labor.v
-    else:
-        kv = np.asarray(capital, dtype=float)
-        lv = np.asarray(labor, dtype=float)
-    if np.any(kv <= 0.0) or np.any(lv <= 0.0):
-        raise ModelDomainError("capital and labor must be positive")
+        t, capital, labor = capital.t, capital.v, labor.v
+    kv = positive(capital, "capital", ModelDomainError)
+    lv = positive(labor, "labor", ModelDomainError)
     out = np.exp(math.log(params.a) + params.k1 * np.log(kv) + params.k2 * np.log(lv))
-    if as_series:
-        return TimeSeries(t, out, name="output")
-    return float(out) if out.ndim == 0 else out
+    return TimeSeries(t, out, name="output") if as_series else scalar(out)
 
 
 def solow_investment(capital, params: SolowCapitalParams):
     """Investment curve I(K) = i0 * (K/k0)**(1/sigma)."""
-    kv = np.asarray(capital, dtype=float)
-    if np.any(kv <= 0.0):
-        raise ModelDomainError("capital must be positive")
-    out = params.i0 * np.exp(np.log(kv / params.k0) / params.sigma)
-    return float(out) if out.ndim == 0 else out
+    kv = positive(capital, "capital", ModelDomainError)
+    return scalar(params.i0 * np.exp(np.log(kv / params.k0) / params.sigma))
 
 
 def solow_depreciation(capital, params: SolowCapitalParams):
     """Depreciation curve Dep(K) = dep0 * (K/k0)**(1/delta)."""
-    kv = np.asarray(capital, dtype=float)
-    if np.any(kv <= 0.0):
-        raise ModelDomainError("capital must be positive")
-    out = params.dep0 * np.exp(np.log(kv / params.k0) / params.delta)
-    return float(out) if out.ndim == 0 else out
+    kv = positive(capital, "capital", ModelDomainError)
+    return scalar(params.dep0 * np.exp(np.log(kv / params.k0) / params.delta))
 
 
 def solow_equilibrium(params: SolowCapitalParams) -> float:
@@ -358,6 +317,12 @@ def _bisect_root(g, x0: float, tol: float = 1e-10, max_expand: int = 200) -> flo
     return 0.5 * (lo + hi)
 
 
+def _check_positive(**values) -> None:
+    """positive() on each keyword argument, labelled by its keyword."""
+    for label, value in values.items():
+        positive(value, label)
+
+
 @dataclass(frozen=True)
 class ADASCurves:
     """Point lists: ad and sras are (delta-quantity, price) pairs, lras is
@@ -385,8 +350,7 @@ def adas_curves(
     LRAS: the general-equilibrium price locus P ~ S**(k_a-1), emitted over
     s_values (default: a geometric sweep around s_ref).
     """
-    for label, value in (("n0", n0), ("s0", s0), ("k_a", k_a), ("n_ref", n_ref), ("s_ref", s_ref)):
-        _positive_scalar(value, label)
+    _check_positive(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
     delta_n = np.asarray(delta_n, dtype=float)
     delta_s = np.asarray(delta_s, dtype=float)
     p_ad = (n0 / (k_a * s_ref)) * np.exp(-k_a * delta_n / n0)
@@ -409,21 +373,21 @@ def adas_equilibrium(
     n_ref: float,
     s_ref: float,
     supply_shift: float = 0.0,
-    tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Crossing of AD with a (possibly shifted) SRAS in the shared
     delta-quantity coordinate. Returns (delta*, price*).
 
     A positive supply_shift moves SRAS right, lowering the equilibrium
-    price. Solved by bisection on the log-transformed curves.
+    price. log SRAS - log AD is linear in delta, so the crossing is
+
+        delta* = (log(n0/(k_a*s_ref)) - log(n_ref/(k_a*s0)) + shift/(k_a*s0))
+                 / (1/(k_a*s0) + k_a/n0).
     """
-
-    def gap(x):
-        log_ad = math.log(n0 / (k_a * s_ref)) - k_a * x / n0
-        log_sras = math.log(n_ref / (k_a * s0)) + (x - supply_shift) / (k_a * s0)
-        return log_sras - log_ad  # increasing in x
-
-    x_star = _bisect_root(gap, 0.0, tol=tol)
+    _check_positive(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
+    finite(supply_shift, "supply_shift")
+    x_star = (
+        math.log(n0 / (k_a * s_ref)) - math.log(n_ref / (k_a * s0)) + supply_shift / (k_a * s0)
+    ) / (1.0 / (k_a * s0) + k_a / n0)
     price = (n0 / (k_a * s_ref)) * math.exp(-k_a * x_star / n0)
     return x_star, price
 
@@ -454,10 +418,7 @@ def islm_curves(
         i**k_i = (n0/(k_s*s_ref)) * exp(-k_s*delta_n/n0)
     where dn = shift.delta_n and dm = shift.delta_m.
     """
-    for label, value in (("n0", n0), ("m_ref", m_ref), ("s_ref", s_ref)):
-        _positive_scalar(value, label)
-    for label, value in (("k_p", k_p), ("k_s", k_s), ("k_i", k_i)):
-        _positive_scalar(value, label)
+    _check_positive(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
     n_eff = n0 + shift.delta_n
     if n_eff <= 0.0:
         raise ModelDomainError("shifted source n0 + delta_n must stay positive")
@@ -490,7 +451,9 @@ def islm_equilibrium(
     equilibria. delta_n is parameterized as n0*(e**u - 1) so the shifted
     total n0 + delta_n stays positive during bracketing.
     """
-
+    _check_positive(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
+    finite(delta_m, "delta_m")
+    finite(is_shift, "is_shift")
     log_n0 = math.log(n0)
 
     def gap(u):
@@ -516,8 +479,8 @@ def money_mediation(k: float, k_s: float) -> float:
     If N->M carries index k and S->M carries index k_s then the implied
     N->S relation carries k/k_s.
     """
-    _positive_scalar(k, "k")
-    _positive_scalar(k_s, "k_s")
+    positive(k, "k")
+    positive(k_s, "k_s")
     return k / k_s
 
 
@@ -535,6 +498,6 @@ def ridge_sigma(kappa: float, gamma: float) -> float:
     stationary at sigma = gamma * exp(-(kappa + log gamma)/kappa), where
     gamma is the common log scale divided by m0. Returns that sigma.
     """
-    _positive_scalar(kappa, "kappa")
-    _positive_scalar(gamma, "gamma")
+    positive(kappa, "kappa")
+    positive(gamma, "gamma")
     return gamma * math.exp(-(kappa + math.log(gamma)) / kappa)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import fields, finite, positive, scalar
 from .errors import DomainError
 
 __all__ = [
@@ -42,13 +43,6 @@ __all__ = [
 ]
 
 
-def _positive(value, label: str):
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"{label} must be positive and finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class IERelation:
     """Relation indexed by k > 0 through the reference point (d_ref, s_ref).
@@ -66,29 +60,26 @@ class IERelation:
     _k_inv: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for label in ("k", "d_ref", "s_ref"):
-            value = getattr(self, label)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{label} must be positive and finite")
+        fields(self, "k", "d_ref", "s_ref")
 
 
 def ge_source(rel: IERelation, s):
     """General-equilibrium source value D(s) = d_ref * (s/s_ref)**k."""
-    s = _positive(s, "s")
+    s = positive(s, "s")
     out = np.exp(math.log(rel.d_ref) + rel.k * (np.log(s) - math.log(rel.s_ref)))
-    return float(out) if out.ndim == 0 else out
+    return scalar(out)
 
 
 def ge_price(rel: IERelation, s):
     """General-equilibrium abstract price P(s) = k*(d_ref/s_ref)*(s/s_ref)**(k-1)."""
-    s = _positive(s, "s")
+    s = positive(s, "s")
     out = np.exp(
         math.log(rel.k)
         + math.log(rel.d_ref)
         - math.log(rel.s_ref)
         + (rel.k - 1.0) * (np.log(s) - math.log(rel.s_ref))
     )
-    return float(out) if out.ndim == 0 else out
+    return scalar(out)
 
 
 def demand_curve(rel: IERelation, d0: float, s):
@@ -98,13 +89,11 @@ def demand_curve(rel: IERelation, d0: float, s):
     delta_d = k*d0*log(s/s_ref) accumulated while s moves from s_ref.
     Price falls as delta_d rises.
     """
-    _positive(d0, "d0")
-    s = _positive(s, "s")
+    positive(d0, "d0")
+    s = positive(s, "s")
     price = np.exp(math.log(rel.k) + math.log(d0) - np.log(s))
     delta_d = rel.k * d0 * (np.log(s) - math.log(rel.s_ref))
-    if price.ndim == 0:
-        return float(price), float(delta_d)
-    return price, delta_d
+    return scalar(price), scalar(delta_d)
 
 
 def supply_curve(rel: IERelation, s0: float, d):
@@ -113,13 +102,11 @@ def supply_curve(rel: IERelation, s0: float, d):
     Returns (price, delta_s): P = k*d/s0 and
     delta_s = (s0/k)*log(d/d_ref). Price rises with delta_s.
     """
-    _positive(s0, "s0")
-    d = _positive(d, "d")
+    positive(s0, "s0")
+    d = positive(d, "d")
     price = np.exp(math.log(rel.k) + np.log(d) - math.log(s0))
     delta_s = (s0 / rel.k) * (np.log(d) - math.log(rel.d_ref))
-    if price.ndim == 0:
-        return float(price), float(delta_s)
-    return price, delta_s
+    return scalar(price), scalar(delta_s)
 
 
 @dataclass(frozen=True)
@@ -145,8 +132,8 @@ class LinearizedCurves:
 
 def linearize(rel: IERelation, d0: float, s0: float) -> LinearizedCurves:
     """Expand both partial-equilibrium curves to first order around the refs."""
-    _positive(d0, "d0")
-    _positive(s0, "s0")
+    positive(d0, "d0")
+    positive(s0, "s0")
     return LinearizedCurves(
         alpha=rel.d_ref + rel.k * d0,
         beta=rel.s_ref,
@@ -160,21 +147,21 @@ def elasticities(rel: IERelation, d0: float, s0: float) -> tuple[float, float]:
 
     e_d = -k*d0/d_ref and e_s = s0/(k*s_ref).
     """
-    _positive(d0, "d0")
-    _positive(s0, "s0")
+    positive(d0, "d0")
+    positive(s0, "s0")
     return (-rel.k * d0 / rel.d_ref, s0 / (rel.k * rel.s_ref))
 
 
 def constant_price(rel: IERelation, d0: float, s0: float) -> float:
     """Price k*d0/s0 when both sides adjust slowly (ratio of the deltas)."""
-    _positive(d0, "d0")
-    _positive(s0, "s0")
+    positive(d0, "d0")
+    positive(s0, "s0")
     return rel.k * d0 / s0
 
 
 def constant_price_delta(rel: IERelation, d0: float, s0: float, delta_s):
     """Source shift matching a destination shift in the both-slow regime."""
-    return constant_price(rel, d0, s0) * np.asarray(delta_s, dtype=float)
+    return scalar(constant_price(rel, d0, s0) * finite(delta_s, "delta_s"))
 
 
 def invert(rel: IERelation) -> IERelation:
@@ -223,9 +210,9 @@ def ode_oracle(
         raise DomainError("steps must be at least 1000")
     s0 = rel.s_ref if s_start is None else s_start
     d = rel.d_ref if d_start is None else d_start
-    _positive(s0, "s_start")
-    _positive(d, "d_start")
-    _positive(s_end, "s_end")
+    positive(s0, "s_start")
+    positive(d, "d_start")
+    positive(s_end, "s_end")
     k = rel.k
     h = (s_end - s0) / steps
     s = s0

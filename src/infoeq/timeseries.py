@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import scalar
 from .errors import (
     DomainError,
     DuplicateTimestamp,
@@ -219,8 +220,7 @@ def interp_linear(ts: TimeSeries, t):
         raise OutOfRange(
             f"t={np.atleast_1d(bad)[0]} outside sampled range [{lo}, {hi}]"
         )
-    out = np.interp(t_arr, ts.t, ts.v)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return scalar(np.interp(t_arr, ts.t, ts.v))
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from infoeq import (
     PriceLevelParams,
     TimeSeries,
     adas_equilibrium,
+    bundled_series,
     interp_linear,
     islm_equilibrium,
     load_csv,
@@ -256,6 +257,25 @@ class TestEval:
         assert run_cli("eval", "ridge", "--kappa", "1.5").returncode == 1
 
 
+ISLM_REST = ("--m-ref", "35", "--s-ref", "90", "--k-s", "1.3", "--k-i", "2.6")
+
+
+class TestEquilibriumArguments:
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("adas", "--n0", "-1", "--s0", "80", "--k-a", "1.4", "--n-ref", "90", "--s-ref", "75"), "n0"),
+            (("islm", "--n0", "0", "--k-p", "2", *ISLM_REST), "n0"),
+            (("islm", "--n0", "100", "--k-p", "-0.3", *ISLM_REST), "k_p"),
+        ],
+    )
+    def test_bad_argument_exits_3_with_one_line(self, args, name):
+        out = run_cli("eval", args[0], "--equilibrium", *args[1:])
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == f"infoeq: error: {name} must be positive and finite\n"
+
+
 class TestFit:
     def test_cobb_douglas_report(self, tmp_path):
         grid = np.linspace(1960.0, 2014.0, 120)
@@ -286,6 +306,20 @@ class TestFit:
         assert report["parameters"]["k1"] == pytest.approx(0.44, rel=1e-3)
         assert report["parameters"]["k2"] == pytest.approx(0.84, rel=1e-3)
         assert report["residuals"]["count"] == 120
+
+    def test_fit_on_a_bound_names_it(self, tmp_path):
+        inputs = []
+        for name, series in zip(
+            ("n", "mlong", "mshort", "rlong", "rshort"), ("gdp", "mbcurrcir", "ambsl", "gs10", "tb3ms")
+        ):
+            save_csv(bundled_series(series), tmp_path / f"{name}.csv")
+            inputs += ["--input", f"{name}={tmp_path / name}.csv"]
+        out = run_cli("fit", "interest", "--grid", "1960:2014:55", "--x0", "3.49,0.124", *inputs)
+        assert out.returncode == 0
+        report = json.loads(out.stdout)
+        assert report["converged"] is True
+        assert report["at_bound"] == ["k_p"]
+        assert out.stderr == "infoeq: warning: fit ended on a bound: k_p\n"
 
     def test_iteration_cap_exits_4_but_writes_report(self, workdir):
         p = TimeSeries(

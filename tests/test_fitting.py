@@ -227,6 +227,12 @@ class TestCobbDouglasLogLinear:
         with pytest.raises(DomainError):
             cobb_douglas_loglinear(np.array([1.0, -1.0]), np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        # NaN used to reach the SVD and raise an untyped LinAlgError
+        with pytest.raises(DomainError, match="capital"):
+            cobb_douglas_loglinear(np.array([1.0, bad, 3.0]), np.array([1.0, 2.0, 5.0]), np.ones(3))
+
 
 class TestFitCobbDouglas:
     def test_recovers_parameters_from_closed_form_start(self):
@@ -437,6 +443,16 @@ class TestFitInterestBox:
         assert out.params()["k_p"] <= 5.0 * cal["k_p"]
         assert 0.2 * cal["k_i"] < out.params()["k_i"] < 5.0 * cal["k_i"]
 
+    def test_at_bound_names_k_p_in_the_default_box_and_nothing_in_a_wide_one(self):
+        series, grid = self.bundled()
+        x0 = np.array([3.49, 0.124])
+        out = fit_interest(*series, grid, x0)
+        assert out.at_bound == ("k_p",)
+        assert fit_report(out)["at_bound"] == ["k_p"]
+        wide = fit_interest(*series, grid, x0, bounds=(np.zeros(2), np.full(2, np.inf)))
+        assert wide.at_bound == ()
+        assert fit_report(wide)["at_bound"] == []
+
     def test_wide_box_reproduces_lstsq_on_stacked_logs(self):
         series, grid = self.bundled()
         n, m_long, m_short, r_long, r_short = (np.asarray(interp_linear(s, grid)) for s in series)
@@ -521,6 +537,16 @@ class TestFitValidation:
         fit, x0 = fit_call(model, sign=-1.0)
         with pytest.raises(DomainError, match="positive data"):
             fit(x0, None)
+
+    @pytest.mark.parametrize("model", ["price-level", "interest", "cobb-douglas"])
+    def test_at_bound_names_exactly_the_parameters_on_a_bound(self, model):
+        fit, x0 = fit_call(model)
+        lower, upper = x0 * 0.9, x0 * 1.05
+        out = fit(x0, (lower, upper))
+        on = np.isclose(out.x, lower, rtol=1e-10, atol=0.0) | np.isclose(out.x, upper, rtol=1e-10, atol=0.0)
+        assert out.at_bound == tuple(np.array(out.names)[on])
+        assert out.at_bound  # this box binds for every model
+        assert fit(x0, None).at_bound == ()
 
     @pytest.mark.parametrize("model", ["price-level", "interest", "cobb-douglas"])
     def test_returned_parameters_lie_in_the_box(self, model):

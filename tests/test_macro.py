@@ -8,6 +8,7 @@ from infoeq import (
     CurveShift,
     DegenerateEquilibrium,
     DomainError,
+    EntropyParams,
     IERelation,
     InterestParams,
     ModelDomainError,
@@ -39,6 +40,7 @@ from infoeq import (
     solow_investment,
     supply_curve,
 )
+from infoeq.macro import _bisect_root
 
 US = PriceLevelParams(alpha=0.641, gamma=5.93e-4, m0=603.8)
 
@@ -385,3 +387,101 @@ class TestSmallPieces:
             ridge_sigma(0.0, 1.0)
         with pytest.raises(DomainError):
             ridge_sigma(1.0, -1.0)
+
+
+SOLOW = SolowCapitalParams(sigma=2.0, delta=1.0, k0=1.0, i0=1.0, dep0=1.0)
+
+
+def _okun_with_k_h(k_h):
+    t = np.array([2000.0, 2001.0])
+    return okun_hours(TimeSeries(t, [1.0, 2.0]), TimeSeries(t, [1.0, 1.0]), k_h, t)
+
+
+# each model fed one non-finite value where it takes model data
+NON_FINITE_CALLS = {
+    "interest_rate": lambda bad: interest_rate(bad, 1.0, InterestParams(1.0, 1.0)),
+    "cobb_douglas": lambda bad: cobb_douglas(bad, 1.0, CobbDouglasParams(1.0, 0.3, 0.7)),
+    "price_level_at_index": lambda bad: price_level_at_index(bad, 1.0, 1.0, 1.0),
+    "solow_investment": lambda bad: solow_investment(bad, SOLOW),
+    "solow_depreciation": lambda bad: solow_depreciation(bad, SOLOW),
+    "okun_hours": _okun_with_k_h,
+    "growth_relations": lambda bad: growth_relations(1.4, bad),
+}
+
+
+class TestNonFiniteModelData:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("model", sorted(NON_FINITE_CALLS))
+    def test_raises_model_domain_error(self, model, bad):
+        with pytest.raises(ModelDomainError):
+            NON_FINITE_CALLS[model](bad)
+
+    @pytest.mark.parametrize("model", sorted(set(NON_FINITE_CALLS) - {"okun_hours"}))
+    def test_one_nan_in_an_array_is_enough(self, model):
+        with pytest.raises(ModelDomainError):
+            NON_FINITE_CALLS[model](np.array([2.0, math.nan, 3.0]))
+
+
+class TestParamsFieldsMustBeRealNumbers:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: IERelation(k=v, d_ref=1.0, s_ref=1.0),
+            lambda v: PriceLevelParams(alpha=1.0, gamma=v, m0=1.0),
+            lambda v: InterestParams(k_i=v, k_p=1.0),
+            lambda v: CobbDouglasParams(a=1.0, k1=v, k2=0.5),
+            lambda v: SolowCapitalParams(sigma=2.0, delta=1.0, k0=v, i0=1.0, dep0=1.0),
+            lambda v: EntropyParams(k=v, gamma=1.0, m0=1.0),
+        ],
+        ids=["IERelation", "PriceLevel", "Interest", "CobbDouglas", "SolowCapital", "Entropy"],
+    )
+    @pytest.mark.parametrize("value", ["1", np.array([1.0, 2.0]), None], ids=["str", "array", "None"])
+    def test_non_real_field_raises_domain_error(self, make, value):
+        make(1.0)  # a real value is accepted
+        with pytest.raises(DomainError):
+            make(value)
+
+
+ADAS = dict(n0=100.0, s0=80.0, k_a=1.4, n_ref=90.0, s_ref=75.0)
+ISLM = dict(n0=100.0, m_ref=35.0, s_ref=90.0, k_p=2.0, k_s=1.3, k_i=2.6)
+
+
+class TestEquilibriumArguments:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n0", -1.0), ("s0", 0.0), ("k_a", math.nan), ("n_ref", math.inf), ("s_ref", -2.0),
+         ("supply_shift", math.nan)],
+    )
+    def test_adas_rejects_bad_argument(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            adas_equilibrium(**{**ADAS, name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n0", 0.0), ("m_ref", -1.0), ("s_ref", math.nan), ("k_p", -0.3), ("k_s", math.inf),
+         ("k_i", 0.0), ("delta_m", math.inf), ("is_shift", math.nan)],
+    )
+    def test_islm_rejects_bad_argument(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            islm_equilibrium(**{**ISLM, name: value})
+
+
+class TestADASClosedForm:
+    @pytest.mark.parametrize("shift", [0.0, 3.0, -40.0, 250.0])
+    def test_crossing_lies_on_both_curves(self, shift):
+        x_star, p_star = adas_equilibrium(**ADAS, supply_shift=shift)
+        out = adas_curves(**ADAS, delta_n=np.array([x_star]), delta_s=np.array([x_star - shift]))
+        assert out.ad[0, 1] == pytest.approx(p_star, rel=1e-13)
+        assert out.sras[0, 1] == pytest.approx(p_star, rel=1e-13)
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0, -40.0, 250.0])
+    def test_agrees_with_bisection(self, shift):
+        n0, s0, k_a, n_ref, s_ref = ADAS.values()
+
+        def gap(x):  # log SRAS - log AD, the function the crossing used to be bisected on
+            log_ad = math.log(n0 / (k_a * s_ref)) - k_a * x / n0
+            log_sras = math.log(n_ref / (k_a * s0)) + (x - shift) / (k_a * s0)
+            return log_sras - log_ad
+
+        x_star, _ = adas_equilibrium(**ADAS, supply_shift=shift)
+        assert x_star == pytest.approx(_bisect_root(gap, 0.0, tol=1e-10), rel=1e-10)

@@ -116,6 +116,11 @@ class TestPartialEquilibrium:
         assert p == 1.3 * 5.0 / 2.0
         assert constant_price_delta(rel, 5.0, 2.0, 0.4) == pytest.approx(p * 0.4)
 
+    def test_constant_price_delta_rejects_nan_shift(self):
+        rel = IERelation(k=1.3, d_ref=5.0, s_ref=2.0)
+        with pytest.raises(DomainError):
+            constant_price_delta(rel, 5.0, 2.0, np.array([0.4, math.nan]))
+
 
 class TestLinearize:
     def test_coefficient_forms(self):
