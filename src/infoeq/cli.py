@@ -10,6 +10,7 @@ converge (the report is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -415,8 +416,14 @@ def build_parser() -> _Parser:
 EXIT_CODES = ((ParseError, 2), (OSError, 2), (NonConvergence, 4), (InfoEqError, 3))
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

@@ -51,7 +51,7 @@ class MarketEnsemble:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = np.array(self.a, dtype=float)  # a copy: freezing it leaves the caller's array alone
         if a.ndim != 1 or a.size == 0:
             raise DomainError("a must be a non-empty 1-d array")
         finite(a, "index draws")
@@ -144,7 +144,7 @@ class MonteCarloConfig:
         fields(self, "a_mean", "a_sd", check=finite)
         if self.a_sd < 0.0:
             raise DomainError("a_sd must be non-negative")
-        grid = np.asarray(self.m_grid, dtype=float)
+        grid = np.array(self.m_grid, dtype=float)  # a copy, as in MarketEnsemble
         if grid.ndim != 1 or grid.size == 0:
             raise DomainError("m_grid must be a non-empty 1-d array")
         positive(grid, "m_grid values")

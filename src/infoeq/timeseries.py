@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +60,9 @@ class TimeSeries:
     units: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        # copies, so freezing them never freezes the caller's arrays
+        t = np.array(self.t, dtype=float)
+        v = np.array(self.v, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
             raise DomainError("t and v must be 1-d arrays of equal length")
         if t.size == 0:
@@ -143,9 +146,70 @@ def load_csv(
     expected; if the first line already parses as data it is accepted as
     data. Rows may arrive unsorted and are sorted by timestamp. Errors
     carry 1-based line numbers.
+
+    A plain file (the header ``date_col,value_col``, then only
+    ``YYYY-MM-DD,number`` lines) is parsed as whole arrays; every other
+    file goes through the row parser, with the same result.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    columns = _iso_columns(text, date_col, value_col)
+    ts, vs = columns if columns is not None else _row_columns(text, date_col, value_col)
+
+    order = np.argsort(ts, kind="stable")
+    t_arr = np.asarray(ts, dtype=float)[order]
+    v_arr = np.asarray(vs, dtype=float)[order]
+    dup = np.nonzero(np.diff(t_arr) == 0.0)[0]
+    if dup.size:
+        raise DuplicateTimestamp(f"timestamp {t_arr[dup[0]]!r} appears more than once")
+    return TimeSeries(t_arr, v_arr, name=name or str(path), units=units)
+
+
+# a column name that can be neither data nor whitespace-padded, so the
+# header line alone fixes the date column at 0 and the value column at 1
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ISO_ROW = r"[0-9]{4}-[0-9]{2}-[0-9]{2},[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_ISO_BODY = re.compile(rf"(?:{_ISO_ROW}\r?\n)*{_ISO_ROW}(?:\r?\n)?")
+
+
+def _iso_columns(text: str, date_col: str, value_col: str):
+    """(t, v) arrays in file order for a plain ISO file, else None.
+
+    Matches `_row_columns` bit for bit wherever it answers; a file it
+    cannot read exactly the same way (a year before 1, an invalid or
+    non-finite entry, any other layout) gets None.
+    """
+    head, _, body = text.partition("\n")
+    if not (
+        _PLAIN_NAME.fullmatch(date_col)
+        and _PLAIN_NAME.fullmatch(value_col)
+        and date_col.lower() != value_col.lower()
+        and head.strip().lower() == f"{date_col},{value_col}".lower()
+        and _ISO_BODY.fullmatch(body)
+    ):
+        return None
+    cells = body.replace(",", "\n").split()
+    try:
+        days = np.array(cells[0::2], dtype="datetime64[D]")
+        v = np.array(cells[1::2], dtype=float)
+    except ValueError:
+        return None
+    years = days.astype("datetime64[Y]")
+    jan1 = years.astype("datetime64[D]")
+    year = years.astype(np.int64) + 1970
+    if year.min() < 1 or not np.all(np.isfinite(v)):
+        return None
+    length = ((years + 1).astype("datetime64[D]") - jan1).astype(np.int64)
+    return year + (days - jan1).astype(np.int64) / length, v
+
+
+def _row_columns(text: str, date_col: str, value_col: str) -> tuple[list, list]:
+    """(timestamps, values) in file order, parsed row by row with csv.
+
+    Handles every accepted layout and raises ParseError with the 1-based
+    line number of the first bad row.
+    """
+    rows = list(csv.reader(io.StringIO(text, newline="")))
 
     idx_date, idx_value = 0, 1
     start = 0
@@ -179,14 +243,7 @@ def load_csv(
 
     if not ts:
         raise EmptyFile()
-
-    order = np.argsort(np.asarray(ts), kind="stable")
-    t_arr = np.asarray(ts, dtype=float)[order]
-    v_arr = np.asarray(vs, dtype=float)[order]
-    dup = np.nonzero(np.diff(t_arr) == 0.0)[0]
-    if dup.size:
-        raise DuplicateTimestamp(f"timestamp {t_arr[dup[0]]!r} appears more than once")
-    return TimeSeries(t_arr, v_arr, name=name or str(path), units=units)
+    return ts, vs
 
 
 def _csv_text(header: str, columns) -> str:

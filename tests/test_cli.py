@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from infoeq import cli
 from infoeq import (
     LoessConfig,
     MonteCarloConfig,
@@ -423,3 +424,62 @@ class TestFluctuation:
         save_csv(TimeSeries(t, t + 1.0), tmp_path / "short.csv")
         out = run_cli("fluctuation", str(tmp_path / "short.csv"))
         assert out.returncode == 3
+
+
+class TestParserReuse:
+    """`main` parses every call with one parser built once per process."""
+
+    @staticmethod
+    def price_level_argv(workdir, *extra):
+        return [
+            "eval",
+            "price-level",
+            "--params",
+            str(workdir / "params.txt"),
+            "--grid",
+            "1991:2009:37",
+            "--input",
+            f"n={workdir / 'n.csv'}",
+            *extra,
+        ]
+
+    def run(self, capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_inputs_do_not_carry_over(self, workdir, capsys):
+        full = self.price_level_argv(workdir, "--input", f"m={workdir / 'm.csv'}")
+        first = self.run(capsys, full)
+        assert first[0] == 0
+        assert self.run(capsys, full) == first
+        code, out, err = self.run(capsys, self.price_level_argv(workdir))
+        assert code == 1 and out == ""
+        assert "missing --input series: m" in err
+
+    def test_span_does_not_carry_over(self, workdir, capsys):
+        argv = self.price_level_argv(workdir, "--input", f"m={workdir / 'm.csv'}")
+        plain = self.run(capsys, argv)
+        smoothed = self.run(capsys, [*argv, "--span", "0.5"])
+        assert plain[0] == smoothed[0] == 0
+        assert smoothed[1] != plain[1]
+        assert self.run(capsys, argv) == plain
+
+    def test_valid_call_after_a_usage_error(self, workdir, capsys):
+        code, out, err = self.run(capsys, ["eval", "no-such-model"])
+        assert code == 1 and out == "" and "invalid choice" in err
+        code, out, err = self.run(capsys, ["eval", "ridge", "--kappa", "2", "--gamma", "3"])
+        assert (code, out, err) == (0, f"{ridge_sigma(2.0, 3.0)!r}\n", "")
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_leaves_module_attributes_identical(self, capsys):
+        before = dict(vars(cli))
+        assert self.run(capsys, ["eval", "ridge", "--kappa", "2", "--gamma", "3"])[0] == 0
+        after = vars(cli)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())

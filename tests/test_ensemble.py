@@ -36,6 +36,13 @@ class TestMarketEnsemble:
         with pytest.raises(ValueError):
             ens.a[0] = 5.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([1.0, 2.0])
+        ens = MarketEnsemble(a)
+        a[0] = 3.0
+        assert np.array_equal(ens.a, [1.0, 2.0])
+        assert not ens.a.flags.writeable
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DomainError):
             MarketEnsemble(np.array([]))
@@ -166,6 +173,13 @@ class TestMonteCarlo:
             MonteCarloConfig(m_grid=np.array([2.0, 1.0]))
         with pytest.raises(DomainError):
             MonteCarloConfig(m_grid=np.array([0.0, 1.0]))
+
+    def test_callers_m_grid_stays_writable(self):
+        grid = np.array([1.0, 2.0])
+        config = MonteCarloConfig(m_grid=grid)
+        grid[0] = 0.5
+        assert np.array_equal(config.m_grid, [1.0, 2.0])
+        assert not config.m_grid.flags.writeable
 
 
 def scalar_monte_carlo(config):

@@ -3,6 +3,8 @@ import datetime
 import numpy as np
 import pytest
 
+from infoeq import timeseries
+from infoeq.data import SERIES, bundled_path
 from infoeq import (
     DomainError,
     DuplicateTimestamp,
@@ -57,6 +59,13 @@ class TestTimeSeries:
             ts.v[0] = 99.0
         with pytest.raises(ValueError):
             ts.t[0] = 99.0
+
+    def test_callers_arrays_stay_writable(self):
+        t, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        ts = TimeSeries(t, v)
+        t[0], v[0] = 0.5, 5.0
+        assert np.array_equal(ts.t, [1.0, 2.0]) and np.array_equal(ts.v, [3.0, 4.0])
+        assert not ts.t.flags.writeable and not ts.v.flags.writeable
 
     def test_rejects_unsorted_timestamps(self):
         with pytest.raises(DomainError):
@@ -149,6 +158,138 @@ class TestLoadCsv:
         back = load_csv(path)
         assert np.array_equal(back.t, ts.t)
         assert np.array_equal(back.v, ts.v)
+
+
+def read_text(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def outcome(load):
+    """A load's result down to the bit, or its exception's type, message and line."""
+    try:
+        ts = load()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ts.t.tobytes(), ts.v.tobytes(), ts.name, ts.units
+
+
+def row_parser_outcome(monkeypatch, path, **kw):
+    """`load_csv` with the array fast path switched off: the row parser's answer."""
+    with monkeypatch.context() as patch:
+        patch.setattr(timeseries, "_iso_columns", lambda *args: None)
+        return outcome(lambda: load_csv(path, **kw))
+
+
+class TestLoadCsvFastPath:
+    """The array path for plain ISO files against the row parser as oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_bundled_files_match_row_parser_bit_for_bit(self, name):
+        with bundled_path(name) as path:
+            text = read_text(path)
+        fast = timeseries._iso_columns(text, "date", "value")
+        assert fast is not None
+        rows = timeseries._row_columns(text, "date", "value")
+        assert np.array_equal(fast[0], rows[0])
+        assert np.array_equal(fast[1], rows[1])
+
+    def test_leap_year_arithmetic_is_exact(self, tmp_path, monkeypatch):
+        days = [datetime.date(1999, 12, 31) + datetime.timedelta(days=i) for i in range(368)]
+        assert days[-1] == datetime.date(2001, 1, 1) and datetime.date(2000, 2, 29) in days
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n" + "".join(f"{d.isoformat()},{i}\n" for i, d in enumerate(days)))
+        assert timeseries._iso_columns(read_text(path), "date", "value") is not None
+        ts = load_csv(path)
+        assert np.array_equal(ts.t, [decimal_year(d) for d in days])
+        assert ts.t[0] == 1999 + 364 / 365
+        assert ts.t[1] == 2000.0
+        assert ts.t[60] == 2000 + 59 / 366  # 2000-02-29
+        assert ts.t[366] == 2000 + 365 / 366
+        assert ts.t[367] == 2001.0
+        assert outcome(lambda: ts) == row_parser_outcome(monkeypatch, path)
+
+    @pytest.mark.parametrize(
+        "text, fast, expect",
+        [
+            ("date,value\n0000-01-01,1\n2000-01-01,2\n", False, ParseError),
+            ("date,value\n2008-02-29,1\n2009-02-29,2\n", False, ParseError),
+            ("date,value\n2000-01-01,nan\n", False, ParseError),
+            ("date,value\n2000-01-01,1\n2001-01-01,inf\n", False, ParseError),
+            ("date,value\n2000-01-01,1\n2001-01-01,1.5e400\n", False, ParseError),
+            ("date,value\r\n2000-01-01,1\r\n2001-01-01,2\r\n", True, None),
+            ("date,value\n2000-01-01,1\n\n2001-01-01,2\n", False, None),
+            ("date,value\n2000-01-01,1\n2001-01-01,2", True, None),
+            ("date,value\n2002-01-01,3\n2000-01-01,1e0\n2001-01-01,-.5\n", True, None),
+            ("date,value\n2000-01-01,1\n2001-01-01,2\n2000-01-01,3\n", True, DuplicateTimestamp),
+            ("value,date\n1.5,2000-01-01\n2.5,2001-01-01\n", False, None),
+            ("2000-01-01,1.5\n2001-01-01,2.5\n", False, None),
+            ('date,value\n"2000-01-01",1\n2001-01-01,2\n', False, None),
+            ("date,value,x\n2000-01-01,1,9\n2001-01-01,2,9\n", False, None),
+            ("date,value\n2000-01-01,1,9\n2001-01-01,2\n", False, None),
+            ("DATE,Value\n2000-01-01,1\n2001-01-01,2\n", True, None),
+        ],
+        ids=[
+            "year-0000",
+            "2009-02-29",
+            "nan",
+            "inf",
+            "1.5e400",
+            "crlf",
+            "blank-line",
+            "no-final-newline",
+            "unsorted",
+            "duplicate",
+            "value-date-header",
+            "headerless-iso",
+            "quoted-field",
+            "extra-column",
+            "extra-cell-in-a-row",
+            "header-case",
+        ],
+    )
+    def test_matches_row_parser_or_gives_way(self, tmp_path, monkeypatch, text, fast, expect):
+        path = tmp_path / "a.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (timeseries._iso_columns(text, "date", "value") is not None) == fast
+        got = outcome(lambda: load_csv(path))
+        assert got == row_parser_outcome(monkeypatch, path)
+        if expect is None:
+            assert isinstance(got[0], bytes)
+        else:
+            assert got[0] is expect
+
+    def test_decimal_year_file_goes_to_row_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "saved.csv"
+        save_csv(TimeSeries([2000.25, 2001.5], [1.0, 2.0]), path)
+        assert timeseries._iso_columns(read_text(path), "date", "value") is None
+        assert outcome(lambda: load_csv(path)) == row_parser_outcome(monkeypatch, path)
+
+    @pytest.mark.parametrize(
+        "date_col, value_col, text",
+        [
+            ("x", "X", "x,X\n2000-01-01,1\n2001-01-01,2\n"),
+            ("1999-01-01", "5", "1999-01-01,5\n2000-01-01,1\n2001-01-01,2\n"),
+        ],
+        ids=["names-equal-ignoring-case", "header-that-parses-as-data"],
+    )
+    def test_column_names_the_header_cannot_pin_go_to_row_parser(
+        self, tmp_path, monkeypatch, date_col, value_col, text
+    ):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        assert timeseries._iso_columns(text, date_col, value_col) is None
+        kw = dict(date_col=date_col, value_col=value_col)
+        assert outcome(lambda: load_csv(path, **kw)) == row_parser_outcome(monkeypatch, path, **kw)
+
+    def test_custom_column_names_take_the_fast_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_text("when,level\n2000-01-01,7\n2001-01-01,8\n")
+        assert timeseries._iso_columns(read_text(path), "when", "level") is not None
+        assert timeseries._iso_columns(read_text(path), "date", "value") is None
+        kw = dict(date_col="when", value_col="level", name="x", units="u")
+        assert outcome(lambda: load_csv(path, **kw)) == row_parser_outcome(monkeypatch, path, **kw)
 
 
 class TestInterpLinear:
