@@ -8,6 +8,7 @@ between observations and refuse to extrapolate.
 
 from __future__ import annotations
 
+import calendar
 import csv
 import datetime as _dt
 import io
@@ -42,8 +43,8 @@ __all__ = [
 
 def decimal_year(date: _dt.date) -> float:
     """Convert a calendar date to a decimal year (leap-aware)."""
-    days = 366.0 if _dt.date(date.year, 12, 31).timetuple().tm_yday == 366 else 365.0
-    return date.year + (date.timetuple().tm_yday - 1) / days
+    days = 366.0 if calendar.isleap(date.year) else 365.0
+    return date.year + (date.toordinal() - _dt.date(date.year, 1, 1).toordinal()) / days
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,11 @@ def load_csv(
 # a column name that can be neither data nor whitespace-padded, so the
 # header line alone fixes the date column at 0 and the value column at 1
 _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ISO_ROW = r"[0-9]{4}-[0-9]{2}-[0-9]{2},[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_ISO_BODY = re.compile(rf"(?:{_ISO_ROW}\r?\n)*{_ISO_ROW}(?:\r?\n)?")
+# one data line; a body is checked a line at a time, so rejecting it
+# costs no more than accepting it and stops at the first bad line
+_ISO_LINE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2},[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\r?"
+)
 
 
 def _iso_columns(text: str, date_col: str, value_col: str):
@@ -180,12 +184,16 @@ def _iso_columns(text: str, date_col: str, value_col: str):
     non-finite entry, any other layout) gets None.
     """
     head, _, body = text.partition("\n")
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline
     if not (
         _PLAIN_NAME.fullmatch(date_col)
         and _PLAIN_NAME.fullmatch(value_col)
         and date_col.lower() != value_col.lower()
         and head.strip().lower() == f"{date_col},{value_col}".lower()
-        and _ISO_BODY.fullmatch(body)
+        and lines
+        and all(map(_ISO_LINE.fullmatch, lines))
     ):
         return None
     cells = body.replace(",", "\n").split()

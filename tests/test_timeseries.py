@@ -45,6 +45,13 @@ class TestDecimalYear:
         b = decimal_year(datetime.date(2012, 1, 1))
         assert a < b == 2012.0
 
+    def test_matches_day_of_year_from_timetuple(self):
+        days = [datetime.date(1999, 1, 1) + datetime.timedelta(days=i) for i in range(3 * 366)]
+        days += [datetime.date(y, m, d) for y in range(1, 10000, 7) for m, d in ((1, 1), (12, 31))]
+        for d in days:
+            length = datetime.date(d.year, 12, 31).timetuple().tm_yday
+            assert decimal_year(d) == d.year + (d.timetuple().tm_yday - 1) / float(length)
+
 
 class TestTimeSeries:
     def test_basic_construction(self):
@@ -181,6 +188,14 @@ def row_parser_outcome(monkeypatch, path, **kw):
         return outcome(lambda: load_csv(path, **kw))
 
 
+# 300 rows of 6-digit integers: a row pattern that could match such a
+# value in several ways would try 6**300 splits before giving way on a
+# bad last line
+INTEGER_ROWS = "date,value\n" + "".join(
+    f"{2000 + i // 12}-{i % 12 + 1:02d}-01,150000\n" for i in range(300)
+)
+
+
 class TestLoadCsvFastPath:
     """The array path for plain ISO files against the row parser as oracle."""
 
@@ -228,6 +243,10 @@ class TestLoadCsvFastPath:
             ("date,value,x\n2000-01-01,1,9\n2001-01-01,2,9\n", False, None),
             ("date,value\n2000-01-01,1,9\n2001-01-01,2\n", False, None),
             ("DATE,Value\n2000-01-01,1\n2001-01-01,2\n", True, None),
+            (INTEGER_ROWS + "\n", False, None),
+            (INTEGER_ROWS + "2100-01-01,.\n", False, ParseError),
+            (INTEGER_ROWS + "2100-01-01,1 \n", False, None),
+            (INTEGER_ROWS + "\r", False, None),
         ],
         ids=[
             "year-0000",
@@ -246,6 +265,10 @@ class TestLoadCsvFastPath:
             "extra-column",
             "extra-cell-in-a-row",
             "header-case",
+            "many-integer-rows-then-blank-line",
+            "many-integer-rows-then-dot",
+            "many-integer-rows-then-trailing-space",
+            "many-integer-rows-then-lone-cr",
         ],
     )
     def test_matches_row_parser_or_gives_way(self, tmp_path, monkeypatch, text, fast, expect):
