@@ -7,15 +7,15 @@ separable (variable projection, Golub & Pereyra, SIAM J. Numer. Anal.
 10(2), 1973): `minimize` searches the one scale c = gamma*m0, and at each
 c an exact two-variable solve gives (alpha, m0).
 
-`minimize` is a principal-axis direction-set search: cyclic line
-minimizations along a direction set that starts as the coordinate axes,
-with the largest-decrease direction replaced by the cycle's net
+`minimize` is Powell's direction-set search (Comput. J. 7, 1964): cyclic
+line minimizations along a direction set that starts as the coordinate
+axes, with the largest-decrease direction replaced by the cycle's net
 displacement when that passes the standard acceptance test, and the set
-restarted to the axes every n**2 line searches. Line minimization is
-bracketing (a geometric probe ladder followed by doubling) plus golden
-section and one parabolic polish. Box bounds are enforced by projecting
-the admissible step interval, never by penalty, so model domain errors
-are unreachable during a search whose box is safe.
+restarted to the axes every n**2 line searches. A line search brackets a
+minimum by unit probes and doubling, then runs Brent's golden section
+with parabolic steps (Algorithms for Minimization without Derivatives,
+1973, ch. 5). Box bounds clip the step interval, never a penalty, so
+model domain errors are unreachable during a search whose box is safe.
 
 Everything here is deterministic: the same problem yields the same
 FitResult bit-for-bit.
@@ -52,16 +52,18 @@ __all__ = [
     "fit_report",
 ]
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class FitProblem:
     """Objective plus box and starting point.
 
-    tol controls both the line-search bracket width and the convergence
-    test (parameter displacement and objective decrease below tol on two
-    consecutive cycles), measured on parameters scaled by |x0|.
+    tol sets both each line search's Brent tolerance, tol/3 + sqrt(eps)*|t|
+    on the step t, and the convergence test (parameter displacement and
+    objective decrease below tol on two consecutive cycles), measured on
+    parameters scaled by |x0|.
     """
 
     objective: object
@@ -107,105 +109,77 @@ class FitResult:
         return {name: float(v) for name, v in zip(self.names, self.x)}
 
 
-def _admissible_span(x, d, lo, hi):
-    t_lo, t_hi = -math.inf, math.inf
-    for xi, di, li, ui in zip(x, d, lo, hi):
-        if di == 0.0:
-            continue
-        a = (li - xi) / di
-        b = (ui - xi) / di
-        if a > b:
-            a, b = b, a
-        t_lo = max(t_lo, a)
-        t_hi = min(t_hi, b)
-    return t_lo, t_hi
-
-
-def _parabola_vertex(ta, fa, tb, fb, tc, fc):
-    d1 = (tb - ta) * (fb - fc)
-    d2 = (tb - tc) * (fb - fa)
-    denom = 2.0 * (d1 - d2)
-    if denom == 0.0:
-        return None
-    return tb - ((tb - ta) * d1 - (tb - tc) * d2) / denom
+def _brent(g, a, b, x, gx, tol):
+    """Minimize g on [a, b] from its best point so far x, g(x) = gx, by
+    Brent's parabolic steps with a golden-section fallback (Brent 1973,
+    ch. 5) until a and b lie within 2*tol1 of x, tol1 = sqrt(eps)*|x| +
+    tol/3. Returns the best (t, g(t)) seen."""
+    w = v = x
+    gw = gv = gx
+    d = e = 0.0
+    while True:
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        if max(x - a, b - x) <= 2.0 * tol1:
+            return x, gx
+        mid = 0.5 * (a + b)
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol1:
+                d = tol1 if x < mid else -tol1
+        else:
+            e = (b if x < mid else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        gu = g(u)
+        if gu <= gx:
+            a, b = (a, x) if u < x else (x, b)
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
 
 
 def _line_min(f, x, d, fx, lo, hi, tol):
-    """Minimize f along x + t*d inside the box. Never accepts an increase."""
-    t_lo, t_hi = _admissible_span(x, d, lo, hi)
-    if not (t_lo < t_hi):
+    """Minimize f along x + t*d inside the box. Never accepts an increase.
+
+    Probes t = 1 then -1 (clipped to the box) and doubles the first step
+    that goes downhill until f rises or the box ends; with no downhill
+    probe the probes bracket t = 0. Brent then searches the bracket."""
+    on = d != 0.0
+    span = np.sort([(lo - x)[on] / d[on], (hi - x)[on] / d[on]], axis=0)
+    t_lo, t_hi = float(span[0].max()), float(span[1].min())
+    if not t_lo < t_hi:
         return x, fx
 
-    # probe ladder: geometric descent finds a first decrease even when the
-    # 1-d dip is orders of magnitude narrower than the natural scale
-    best_t, best_f = 0.0, fx
-    found = False
-    h = 1.0
-    while h >= 1e-12:
-        for sign in (1.0, -1.0):
-            t = min(max(sign * h, t_lo), t_hi)
-            if t == 0.0:
-                continue
-            ft = f(x + t * d)
-            if ft < best_f:
-                best_t, best_f = t, ft
-                found = True
-                break
-        if found:
-            break
-        h *= 0.25
-    if not found:
-        return x, fx
+    def g(t):
+        return f(x + t * d)
 
-    # expand by doubling until the function turns upward
-    t0, f0 = 0.0, fx
-    t1, f1 = best_t, best_f
-    while True:
-        t2 = t1 * 2.0
-        t2 = min(t2, t_hi) if t1 > 0 else max(t2, t_lo)
-        if t2 == t1:
-            f2 = f1
+    t0, t1, g1 = 0.0, 0.0, fx
+    for t in (min(1.0, t_hi), max(-1.0, t_lo)):
+        if t != 0.0 and (gt := g(t)) < fx:
+            t1, g1 = t, gt
             break
-        f2 = f(x + t2 * d)
-        if f2 >= f1:
-            break
-        t0, f0 = t1, f1
-        t1, f1 = t2, f2
-
-    a, b = (t0, t2) if t0 < t2 else (t2, t0)
-    width = b - a
-    c = b - _GOLD * (b - a)
-    e = a + _GOLD * (b - a)
-    fc = f(x + c * d)
-    fe = f(x + e * d)
-    while (b - a) > tol and (b - a) > 1e-14 * max(abs(a), abs(b), 1e-3):
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - _GOLD * (b - a)
-            fc = f(x + c * d)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _GOLD * (b - a)
-            fe = f(x + e * d)
-    if fc < fe:
-        tb_, fb_ = c, fc
-        ta_, fa_ = a, f(x + a * d)
-        tc_, fc_ = e, fe
+    if t1 == 0.0:
+        a, b = max(-1.0, t_lo), min(1.0, t_hi)
     else:
-        tb_, fb_ = e, fe
-        ta_, fa_ = c, fc
-        tc_, fc_ = b, f(x + b * d)
-
-    t_best, f_best = tb_, fb_
-    vertex = _parabola_vertex(ta_, fa_, tb_, fb_, tc_, fc_)
-    if vertex is not None and t_lo <= vertex <= t_hi and abs(vertex - tb_) < width:
-        fv = f(x + vertex * d)
-        if fv < f_best:
-            t_best, f_best = vertex, fv
-
-    if f_best >= fx:
-        return x, fx
-    return x + t_best * d, f_best
+        t2 = min(max(2.0 * t1, t_lo), t_hi)
+        while math.isfinite(t2) and t2 != t1 and (g2 := g(t2)) < g1:
+            t0, t1, g1 = t1, t2, g2
+            t2 = min(max(2.0 * t1, t_lo), t_hi)
+        a, b = sorted((t0, t2 if math.isfinite(t2) else t1))
+    t, gt = _brent(g, a, b, t1, g1, tol)
+    return (x + t * d, gt) if gt < fx else (x, fx)
 
 
 def minimize(problem: FitProblem) -> FitResult:
@@ -274,6 +248,13 @@ def minimize(problem: FitProblem) -> FitResult:
     )
 
 
+def _full_rank(r, rows) -> bool:
+    """Whether the matrix with `rows` rows and QR factor r has full column
+    rank by matrix_rank's rule; r has its singular values in a small SVD."""
+    s = np.linalg.svd(r, compute_uv=False)
+    return bool(s.size == r.shape[1] and s[-1] > s[0] * max(rows, r.shape[1]) * np.finfo(float).eps)
+
+
 def _lsq(design, target, g, h) -> np.ndarray:
     """Exact minimiser b of |design @ b - target|**2 subject to g @ b <= h.
 
@@ -286,9 +267,9 @@ def _lsq(design, target, g, h) -> np.ndarray:
     of design, which keeps the conditioning of design itself.
     """
     n = design.shape[1]
-    if np.linalg.matrix_rank(design) < n:
-        raise RankDeficient("constant or collinear regressors leave the parameters unidentified")
     q, r = np.linalg.qr(design)
+    if not _full_rank(r, design.shape[0]):
+        raise RankDeficient("constant or collinear regressors leave the parameters unidentified")
     z = q.T @ target
     keep = np.all(np.isfinite(g), axis=1) & np.isfinite(h)
     g, h = g[keep], h[keep]
@@ -300,10 +281,10 @@ def _lsq(design, target, g, h) -> np.ndarray:
     for size in range(1, n + 1):
         for rows in itertools.combinations(range(h.size), size):
             ga, ha = g[list(rows)], h[list(rows)]
-            if np.linalg.matrix_rank(ga) < size:
-                continue
             # b = p + basis @ w, where ga @ p = ha and ga @ basis = 0
             qg, rg = np.linalg.qr(ga.T, mode="complete")
+            if not _full_rank(rg, n):
+                continue
             p = qg[:, :size] @ np.linalg.solve(rg[:size].T, ha)
             basis = qg[:, size:]
             w = np.linalg.lstsq(r @ basis, z - r @ p, rcond=None)[0]

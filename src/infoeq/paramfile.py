@@ -24,22 +24,26 @@ def load_params(path) -> dict[str, float]:
     """Read a parameter file into an ordered {key: float} mapping."""
     out: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError("expected key = value", line=lineno)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if not key:
-                raise ParseError("empty key", line=lineno)
-            if key in out:
-                raise ParseError(f"duplicate key {key!r}", line=lineno)
-            try:
-                out[key] = float(value.strip())
-            except ValueError:
-                raise ParseError(f"bad value for {key!r}: {value.strip()!r}", line=lineno) from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise ParseError("file is not valid UTF-8") from err
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ParseError("expected key = value", line=lineno)
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if not key:
+            raise ParseError("empty key", line=lineno)
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        try:
+            out[key] = float(value.strip())
+        except ValueError:
+            raise ParseError(f"bad value for {key!r}: {value.strip()!r}", line=lineno) from None
     return out
 
 

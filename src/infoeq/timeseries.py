@@ -153,7 +153,10 @@ def load_csv(
     file goes through the row parser, with the same result.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ParseError("file is not valid UTF-8") from err
     columns = _iso_columns(text, date_col, value_col)
     ts, vs = columns if columns is not None else _row_columns(text, date_col, value_col)
 

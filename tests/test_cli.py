@@ -90,6 +90,29 @@ class TestTopLevel:
         assert run_cli("smooth", str(tmp_path / "absent.csv")).returncode == 2
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is unreadable input: exit 2, one error line."""
+
+    def run(self, capsys, argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_csv_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,value\n2000-01-01,1.0\n2000-02-01,\xff\n")
+        assert self.run(capsys, ["smooth", str(bad)]) == (2, "", "infoeq: error: file is not valid UTF-8\n")
+
+    def test_params_exits_2(self, workdir, capsys):
+        bad = workdir / "bad.txt"
+        bad.write_bytes(b"alpha = 0.641\n\xff\n")
+        argv = [
+            "eval", "price-level", "--params", str(bad), "--grid", "1991:2009:5",
+            "--input", f"n={workdir / 'n.csv'}", "--input", f"m={workdir / 'm.csv'}",
+        ]
+        assert self.run(capsys, argv) == (2, "", "infoeq: error: file is not valid UTF-8\n")
+
+
 class TestSmooth:
     def test_matches_library(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -136,6 +137,80 @@ class TestMinimize:
         f = lambda x: float(np.sum(x**2))
         out = minimize(FitProblem(f, np.array([1.0]), names=("gain",)))
         assert set(out.params()) == {"gain"}
+
+
+class TestLineSearch:
+    """Evaluation budgets of the bracket-plus-Brent line search."""
+
+    def counted(self, f):
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            return f(x)
+
+        return objective, calls
+
+    def test_one_dimensional_quadratic_within_budget(self):
+        objective, calls = self.counted(lambda x: float((x[0] - 3.0) ** 2))
+        out = minimize(FitProblem(objective, np.array([1.0])))
+        assert out.converged
+        assert out.x[0] == pytest.approx(3.0, abs=1e-8)
+        assert len(calls) <= 40
+
+    def test_start_at_minimum_within_budget(self):
+        objective, calls = self.counted(lambda x: float(np.sum(x**2)))
+        out = minimize(FitProblem(objective, np.zeros(2)))
+        assert out.converged and out.f_star == 0.0
+        assert len(calls) <= 40
+
+    def test_objective_unbounded_below_ends_finite(self):
+        # decreases without bound and is NaN at infinity: the doubling must
+        # stop short of an infinite step, or Brent never narrows its bracket
+        def f(x):
+            v = float(x[0])
+            return -v if math.isfinite(v) else math.nan
+
+        with np.errstate(over="ignore"):  # the step norm near 1e308
+            out = minimize(FitProblem(f, np.array([1.0])))
+        assert math.isfinite(out.f_star) and out.f_star <= -1.0
+
+
+def demo_price_level_data():
+    """The inputs of the price-level fit in demos/07 (synthetic, seeded)
+    and in demos/08_cli_tour.sh (bundled snapshots)."""
+    rng = np.random.default_rng(42)
+    grid = np.linspace(1960.0, 2010.0, 201)
+    u = grid - grid[0]
+    true = PriceLevelParams(alpha=0.641, gamma=5.93e-4, m0=603.8)
+    n = TimeSeries(grid, 500.0 * np.exp(0.065 * u) * (1 + 0.02 * np.sin(0.4 * u)))
+    m = TimeSeries(grid, 280.0 * np.exp(0.070 * u))
+    p = TimeSeries(grid, price_level(n.v, m.v, true) * np.exp(rng.normal(0.0, 0.002, grid.size)))
+    x0 = (true.alpha * 1.6, true.gamma * 0.5, true.m0 * 1.4)
+    bundled = [bundled_series(name) for name in ("gdp", "mbcurrcir", "pcepilfe")]
+    return {
+        "demo07": (n, m, p, grid, x0),
+        "demo08": (*bundled, np.linspace(1960.0, 2014.0, 55), (78.0, 4.7e-4, 720.0)),
+    }
+
+
+class TestPriceLevelProfile:
+    @pytest.mark.parametrize("case", ["demo07", "demo08"])
+    def test_search_finds_the_dense_grid_minimum(self, case, monkeypatch):
+        searches = []
+
+        def recording(problem):
+            result = minimize(problem)
+            searches.append((problem, result))
+            return result
+
+        monkeypatch.setattr(fitting, "minimize", recording)
+        fit_price_level(*demo_price_level_data()[case])
+        [(problem, result)] = searches
+        c_grid = np.geomspace(problem.lower[0], problem.upper[0], 400)
+        grid_min = min(problem.objective(np.array([c])) for c in c_grid)
+        assert problem.objective(result.x) == result.f_star
+        assert result.f_star <= grid_min * (1.0 + 1e-12)
 
 
 def price_level_series(grid, params):
@@ -322,6 +397,34 @@ class TestLsq:
         design = np.column_stack([np.ones(5), np.full(5, 2.0)])
         with pytest.raises(RankDeficient):
             _lsq(design, np.arange(5.0), np.empty((0, 2)), np.empty(0))
+
+
+def rank_designs():
+    # with this noise an R-diagonal test (|r_33| against max|r_kk|*40*eps)
+    # calls the 1e-14 design full rank; matrix_rank does not
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, 40)
+    one = np.ones_like(x)
+    return {
+        "collinear": np.column_stack([one, x, 2.0 * x]),
+        "constant": np.column_stack([one, x, 5.0 * one]),
+        "noise_1e-14": np.column_stack([one, x, 2.0 * x + 1e-14 * rng.standard_normal(x.size)]),
+        "noise_1e-10": np.column_stack([one, x, 2.0 * x + 1e-10 * rng.standard_normal(x.size)]),
+        "one_row": np.array([[1.0, 2.0, 3.0]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(rank_designs()))
+def test_lsq_rank_check_agrees_with_matrix_rank(name):
+    design = rank_designs()[name]
+    full = np.linalg.matrix_rank(design) == design.shape[1]
+    target = np.arange(design.shape[0], dtype=float)
+    try:
+        _lsq(design, target, np.empty((0, design.shape[1])), np.empty(0))
+        deficient = False
+    except RankDeficient:
+        deficient = True
+    assert deficient != full
 
 
 def noisy(v, rng, sd=0.01):

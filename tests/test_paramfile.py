@@ -1,6 +1,7 @@
 import pytest
 
 from infoeq import (
+    InfoEqError,
     ParseError,
     cobb_douglas_params,
     interest_params,
@@ -23,6 +24,13 @@ class TestLoadParams:
         got = load_params(path)
         assert got == {"alpha": 0.641, "gamma": 5.93e-4, "M0": 603.8}
         assert list(got) == ["alpha", "gamma", "M0"]
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"alpha = 1.0\n\xff = 2.0\n")
+        with pytest.raises(ParseError, match="not valid UTF-8") as info:
+            load_params(path)
+        assert isinstance(info.value, InfoEqError)
 
     def test_missing_equals_reports_line(self, tmp_path):
         path = tmp_path / "p.txt"

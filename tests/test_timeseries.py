@@ -9,6 +9,7 @@ from infoeq import (
     DomainError,
     DuplicateTimestamp,
     EmptyFile,
+    InfoEqError,
     LoessConfig,
     OutOfRange,
     ParseError,
@@ -144,6 +145,13 @@ class TestLoadCsv:
         path.write_text("date,value\n2000-01-01,one\n")
         with pytest.raises(ParseError, match="line 2"):
             load_csv(path)
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"date,value\n2000-01-01,1\n2001-01-01,\xff\n")
+        with pytest.raises(ParseError, match="not valid UTF-8") as info:
+            load_csv(path)
+        assert isinstance(info.value, InfoEqError)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "a.csv"
