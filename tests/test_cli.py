@@ -7,17 +7,27 @@ import pytest
 
 from infoeq import cli
 from infoeq import (
+    CobbDouglasParams,
+    InterestParams,
     LoessConfig,
     MonteCarloConfig,
     PriceLevelParams,
     TimeSeries,
     adas_equilibrium,
     bundled_series,
+    cobb_douglas,
+    fit_cobb_douglas,
+    fit_interest,
+    fit_price_level,
+    fit_report,
+    inflation_model,
+    interest_rate,
     interp_linear,
     islm_equilibrium,
     load_csv,
     loess_smooth,
     monte_carlo,
+    okun_hours,
     price_level,
     ridge_sigma,
     save_csv,
@@ -506,3 +516,264 @@ class TestParserReuse:
         after = vars(cli)
         assert after.keys() == before.keys()
         assert all(after[key] is value for key, value in before.items())
+
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process `cli.main` call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+MODEL_PARAMS = {
+    "alpha": 64.68,
+    "gamma": 5.93e-4,
+    "M0": 603.8,
+    "k_i": 3.49,
+    "k_p": 0.124,
+    "k_H": 1.48,
+    "A": 0.0024,
+    "k1": 0.44,
+    "k2": 0.84,
+}
+GRID = "1961:2013:53"
+SMOOTH = ("--span", "0.5", "--degree", "1")
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    """Noisy synthetic inputs for every series model and fit, plus a params file."""
+    path = tmp_path_factory.mktemp("models")
+    rng = np.random.default_rng(17)
+    t = np.linspace(1960.0, 2014.0, 109)
+    u = t - t[0]
+
+    def noisy(v):
+        return v * np.exp(0.01 * rng.normal(size=t.size))
+
+    n = noisy(500.0 * np.exp(0.03 * u))
+    mlong = noisy(40.0 * np.exp(0.05 * u))
+    mshort = noisy(60.0 * np.exp(0.055 * u))
+    k = noisy(2000.0 * np.exp(0.055 * u - 2e-4 * u**2))
+    l = noisy(120.0 * np.exp(0.018 * u + 1e-4 * u**2))
+    rates = InterestParams(k_i=3.49, k_p=0.124)
+    values = {
+        "n": n,
+        "m": mlong,
+        "mshort": mshort,
+        "p": noisy(price_level(n, mlong, PriceLevelParams(alpha=64.68, gamma=5.93e-4, m0=603.8))),
+        "rlong": noisy(interest_rate(n, mlong, rates)),
+        "rshort": noisy(interest_rate(n, mshort, rates)),
+        "k": k,
+        "l": l,
+        "y": noisy(cobb_douglas(k, l, CobbDouglasParams(a=0.0024, k1=0.44, k2=0.84))),
+    }
+    for name, v in values.items():
+        save_csv(TimeSeries(t, v), path / f"{name}.csv")
+    save_params(path / "params.txt", MODEL_PARAMS)
+    return path
+
+
+# model -> (--input name, file stem) pairs
+EVAL_FILES = {
+    "price-level": (("n", "n"), ("m", "m")),
+    "inflation": (("n", "n"), ("m", "m")),
+    "interest": (("n", "n"), ("m", "m")),
+    "okun": (("n", "n"), ("p", "p")),
+    "cobb-douglas": (("k", "k"), ("l", "l")),
+}
+FIT_FILES = {
+    "price-level": (("n", "n"), ("m", "m"), ("p", "p")),
+    "interest": (("n", "n"), ("mlong", "m"), ("mshort", "mshort"), ("rlong", "rlong"), ("rshort", "rshort")),
+    "cobb-douglas": (("n", "y"), ("k", "k"), ("l", "l")),
+}
+FIT_X0 = {"price-level": "60,5e-4,650", "interest": "3.4,0.13", "cobb-douglas": None}
+
+
+def eval_library(model, series, grid):
+    """The values `infoeq eval <model>` should print, from the library directly."""
+    if model == "price-level":
+        n, m = (interp_linear(ts, grid) for ts in series)
+        return price_level(n, m, PriceLevelParams(alpha=64.68, gamma=5.93e-4, m0=603.8))
+    if model == "inflation":
+        return inflation_model(*series, PriceLevelParams(alpha=64.68, gamma=5.93e-4, m0=603.8), grid).v
+    if model == "interest":
+        n, m = (interp_linear(ts, grid) for ts in series)
+        return interest_rate(n, m, InterestParams(k_i=3.49, k_p=0.124))
+    if model == "okun":
+        return okun_hours(*series, 1.48, grid).v
+    k, l = (interp_linear(ts, grid) for ts in series)
+    return cobb_douglas(k, l, CobbDouglasParams(a=0.0024, k1=0.44, k2=0.84))
+
+
+def fit_library(model, series, grid):
+    if model == "price-level":
+        return fit_price_level(*series, grid, [60.0, 5e-4, 650.0])
+    if model == "interest":
+        return fit_interest(*series, grid, [3.4, 0.13])
+    return fit_cobb_douglas(*series, grid)
+
+
+class TestModelPipeline:
+    """`eval` and `fit` on every series model, plain and LOESS-smoothed, and
+    the usage errors in the order the command checks them."""
+
+    @staticmethod
+    def inputs(model_dir, files):
+        return [arg for role, stem in files for arg in ("--input", f"{role}={model_dir / stem}.csv")]
+
+    @staticmethod
+    def series(model_dir, files, smooth):
+        out = [load_csv(model_dir / f"{stem}.csv") for _, stem in files]
+        return [loess_smooth(ts, LoessConfig(degree=1, span=0.5)) for ts in out] if smooth else out
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["plain", "span"])
+    @pytest.mark.parametrize("model", list(EVAL_FILES))
+    def test_eval_matches_library(self, model_dir, capsys, model, smooth):
+        argv = ["eval", model, "--params", str(model_dir / "params.txt"), "--grid", GRID]
+        argv += self.inputs(model_dir, EVAL_FILES[model]) + list(SMOOTH if smooth else ())
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "")
+        header, rows = parse_table(out)
+        grid = np.linspace(1961.0, 2013.0, 53)
+        expect = eval_library(model, self.series(model_dir, EVAL_FILES[model], smooth), grid)
+        assert header == ["t", "value"]
+        assert np.array_equal(rows[:, 0], grid)
+        assert np.array_equal(rows[:, 1], expect)
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["plain", "span"])
+    @pytest.mark.parametrize("model", list(FIT_FILES))
+    def test_fit_matches_library(self, model_dir, capsys, model, smooth):
+        argv = ["fit", model, "--grid", GRID, *self.inputs(model_dir, FIT_FILES[model])]
+        argv += list(SMOOTH if smooth else ()) + (["--x0", FIT_X0[model]] if FIT_X0[model] else [])
+        code, out, err = run_main(capsys, argv)
+        grid = np.linspace(1961.0, 2013.0, 53)
+        result = fit_library(model, self.series(model_dir, FIT_FILES[model], smooth), grid)
+        assert code == (0 if result.converged else 4)
+        assert json.loads(out) == json.loads(json.dumps(fit_report(result)))
+        warning = f"infoeq: warning: fit ended on a bound: {', '.join(result.at_bound)}\n"
+        assert err == (warning if result.at_bound else "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "price-level"], "--x0 alpha,gamma,M0 is required for this model"),
+            (["fit", "interest"], "--x0 k_i,k_p is required for this model"),
+            (["fit", "price-level", "--x0", "1,2"], "--x0 must have 3 values, got 2"),
+            (["fit", "interest", "--x0", "1,2,3"], "--x0 must have 2 values, got 3"),
+            (["fit", "cobb-douglas", "--x0", "1,2"], "--x0 must have 3 values, got 2"),
+            (["fit", "price-level", "--x0", "1,a,3"], "--x0 must be comma-separated numbers, got '1,a,3'"),
+            (["fit", "interest", "--x0", "x"], "--x0 must be comma-separated numbers, got 'x'"),
+            (["fit", "cobb-douglas", "--x0", "1,,3"], "--x0 must be comma-separated numbers, got '1,,3'"),
+        ],
+    )
+    def test_bad_x0_is_usage_error(self, model_dir, capsys, argv, message):
+        argv = [*argv, "--grid", GRID, *self.inputs(model_dir, FIT_FILES[argv[1]])]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: infoeq ")
+        assert err.splitlines()[-1] == f"infoeq: error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "price-level", "--grid", GRID], "--params is required for this model"),
+            (["eval", "okun", "--params", "p.txt"], "--grid is required for this model"),
+            (["eval", "inflation"], "--grid is required for this model"),
+            (["fit", "interest", "--x0", "1,2"], "--grid is required for this model"),
+            (["eval", "adas", "--n0=1", "--s0=1", "--k-a=1", "--n-ref=1", "--s-ref=1"], "--grid is required for this model"),
+            (["eval", "islm", "--n0=1", "--m-ref=1", "--s-ref=1", "--k-p=1", "--k-s=1"], "--k-i is required for this model"),
+            (["eval", "ridge", "--gamma=1"], "--kappa is required for this model"),
+        ],
+    )
+    def test_missing_flag_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"infoeq: error: {message}"
+
+    @pytest.mark.parametrize("command", ["eval", "fit"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--input", "q=q.csv"], "unexpected --input series: q"),
+            (["--input", "n=again.csv"], "duplicate --input name 'n'"),
+            (["--input", "n"], "--input expects name=path, got 'n'"),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, model_dir, capsys, command, extra, message):
+        files = (FIT_FILES if command == "fit" else EVAL_FILES)["price-level"]
+        argv = [command, "price-level", "--grid", GRID, *self.inputs(model_dir, files), *extra]
+        if command == "eval":
+            argv += ["--params", str(model_dir / "params.txt")]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"infoeq: error: {message}"
+
+    def test_missing_input_precedes_missing_x0(self, model_dir, capsys):
+        argv = ["fit", "price-level", "--grid", GRID, *self.inputs(model_dir, FIT_FILES["price-level"][:2])]
+        code, _, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.splitlines()[-1] == "infoeq: error: missing --input series: p"
+
+    def test_unreadable_input_precedes_missing_x0(self, model_dir, capsys):
+        argv = ["fit", "interest", "--grid", GRID, *self.inputs(model_dir, FIT_FILES["interest"][:4])]
+        argv += ["--input", f"rshort={model_dir / 'absent.csv'}"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("infoeq: error: ") and err.count("\n") == 1
+
+    def test_bad_span_precedes_missing_input(self, model_dir, capsys):
+        argv = ["eval", "okun", "--params", str(model_dir / "params.txt"), "--grid", GRID, "--span", "2"]
+        assert run_main(capsys, argv) == (3, "", "infoeq: error: span must lie in (0, 1]\n")
+
+    def test_missing_params_key_after_inputs(self, model_dir, capsys):
+        save_params(model_dir / "short.txt", {"alpha": 1.0})
+        argv = ["eval", "cobb-douglas", "--params", str(model_dir / "short.txt"), "--grid", GRID]
+        code, _, err = run_main(capsys, argv)
+        assert code == 1
+        assert err.splitlines()[-1] == "infoeq: error: missing --input series: k, l"
+        argv += self.inputs(model_dir, EVAL_FILES["cobb-douglas"])
+        assert run_main(capsys, argv) == (2, "", "infoeq: error: missing keys: A, k1, k2\n")
+
+
+class TestTraceContract:
+    """`eval` and `fit` reach every lower layer through a module global of
+    `cli`, `fitting` or `macro`, which is where the benchmark's traced run
+    wraps its spans; a reference captured at import would bypass them."""
+
+    SPANS = (
+        "macro.price_level",
+        "macro.inflation_model",
+        "macro.interest_rate",
+        "macro.okun_hours",
+        "macro.cobb_douglas",
+        "fitting.fit_price_level",
+        "fitting.fit_interest",
+        "fitting.fit_cobb_douglas",
+        "timeseries.load_csv",
+        "paramfile.load_params",
+    )
+
+    def test_layer_spans_are_recorded(self, model_dir, capsys):
+        import importlib
+        from collections import Counter
+
+        from perfbench.spans import PATCHED_MODULES, Recorder, instrument
+
+        modules = {name: importlib.import_module(name) for name in PATCHED_MODULES}
+        recorder = Recorder()
+        with instrument(recorder, modules):
+            for model, files in EVAL_FILES.items():
+                argv = ["eval", model, "--params", str(model_dir / "params.txt"), "--grid", GRID]
+                assert run_main(capsys, argv + TestModelPipeline.inputs(model_dir, files))[0] == 0
+            for model, files in FIT_FILES.items():
+                argv = ["fit", model, "--grid", GRID, *TestModelPipeline.inputs(model_dir, files)]
+                x0 = ["--x0", FIT_X0[model]] if FIT_X0[model] else []
+                assert run_main(capsys, argv + x0)[0] == 0
+        counts = Counter(span.name for span in recorder.spans)
+        assert [name for name in self.SPANS if not counts[name]] == []
+        # two series per eval model and three, five and three per fit
+        assert counts["timeseries.load_csv"] == counts["timeseries.interp_linear"] == 21
