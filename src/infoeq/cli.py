@@ -1,6 +1,9 @@
 """Command line interface.
 
-Subcommands: smooth, eval, fit, ensemble, fluctuation. All numeric
+Subcommands: smooth, eval, fit, ensemble, fluctuation. `eval` and `fit`
+look their model up in a table and run one pipeline: the --grid, the
+--params file (eval), the --input series, each LOESS-smoothed when
+--span is set, then the model or fit, then the output. All numeric
 output is written at repr precision so piping through the CLI loses
 nothing relative to calling the library. Exit codes: 0 success, 1 usage,
 2 unreadable or malformed input, 3 domain violation, 4 fit did not
@@ -41,32 +44,6 @@ from .paramfile import (
 from .timeseries import LoessConfig, _csv_text, interp_linear, load_csv, loess_smooth
 
 __all__ = ["main"]
-
-EVAL_MODELS = (
-    "price-level",
-    "inflation",
-    "interest",
-    "okun",
-    "cobb-douglas",
-    "adas",
-    "islm",
-    "ridge",
-)
-FIT_MODELS = ("price-level", "interest", "cobb-douglas")
-
-# which named --input series each model consumes
-EVAL_INPUTS = {
-    "price-level": ("n", "m"),
-    "inflation": ("n", "m"),
-    "interest": ("n", "m"),
-    "okun": ("n", "p"),
-    "cobb-douglas": ("k", "l"),
-}
-FIT_INPUTS = {
-    "price-level": ("n", "m", "p"),
-    "interest": ("n", "mlong", "mshort", "rlong", "rshort"),
-    "cobb-douglas": ("n", "k", "l"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,47 +103,109 @@ def _input_paths(args, parser: _Parser, required: tuple[str, ...]) -> dict[str, 
     return paths
 
 
-def _load_inputs(args, parser: _Parser, required: tuple[str, ...], smooth: LoessConfig | None = None):
-    paths = _input_paths(args, parser, required)
-    out = {}
-    for name in required:
-        ts = load_csv(paths[name], name=name)
-        if smooth is not None:
-            ts = loess_smooth(ts, smooth)
-        out[name] = ts
-    return out
+def _series(args, parser: _Parser, names: tuple[str, ...]) -> list:
+    """The --input series `names`, in that order, LOESS-smoothed when --span is set."""
+    smooth = None if args.span is None else LoessConfig(degree=args.degree, span=args.span)
+    paths = _input_paths(args, parser, names)
+    series = [load_csv(paths[name], name=name) for name in names]
+    return series if smooth is None else [loess_smooth(ts, smooth) for ts in series]
 
 
-def _smooth_config(args) -> LoessConfig | None:
-    if args.span is None:
-        return None
-    return LoessConfig(degree=args.degree, span=args.span)
-
-
-def _require_params(args, parser: _Parser) -> dict[str, float]:
-    if args.params is None:
-        parser.error("--params is required for this model")
-    return load_params(args.params)
-
-
-def _require_scalars(args, parser: _Parser, names: tuple[str, ...]) -> dict[str, float]:
-    out = {}
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
+def _require_scalars(args, parser: _Parser, names: tuple[str, ...]) -> list[float]:
+    values = [getattr(args, name.replace("-", "_")) for name in names]
+    for name, value in zip(names, values):
         if value is None:
             parser.error(f"--{name} is required for this model")
-        out[name] = value
-    return out
+    return values
 
 
-def _parse_floats(text: str, count: int, label: str, parser: _Parser) -> np.ndarray:
+def _parse_x0(text: str, count: int, parser: _Parser) -> np.ndarray:
     try:
         values = np.array([float(p) for p in text.split(",")])
     except ValueError:
-        parser.error(f"{label} must be comma-separated numbers, got {text!r}")
+        parser.error(f"--x0 must be comma-separated numbers, got {text!r}")
     if values.size != count:
-        parser.error(f"{label} must have {count} values, got {values.size}")
+        parser.error(f"--x0 must have {count} values, got {values.size}")
     return values
+
+
+# The model tables call each library function through its module-global
+# name when a command runs, never through a reference kept from import
+# time, so a tracer that swaps those globals sees every call.
+
+
+def _on_grid(series, grid) -> list:
+    return [interp_linear(ts, grid) for ts in series]
+
+
+def _okun_params(params: dict[str, float]) -> float:
+    if "k_H" not in params:
+        raise ParseError("missing keys: k_H")
+    return params["k_H"]
+
+
+# model -> (--input names, values on grid t from the series s and the
+# --params dict p, which each model converts to its own parameters)
+SERIES_MODELS = {
+    "price-level": (("n", "m"), lambda s, t, p: price_level(*_on_grid(s, t), price_level_params(p))),
+    "inflation": (("n", "m"), lambda s, t, p: inflation_model(*s, price_level_params(p), t).v),
+    "interest": (("n", "m"), lambda s, t, p: interest_rate(*_on_grid(s, t), interest_params(p))),
+    "okun": (("n", "p"), lambda s, t, p: okun_hours(*s, _okun_params(p), t).v),
+    "cobb-douglas": (("k", "l"), lambda s, t, p: cobb_douglas(*_on_grid(s, t), cobb_douglas_params(p))),
+}
+
+
+def _adas_crossing(base, args) -> str:
+    x_star, p_star = adas_equilibrium(*base, supply_shift=args.supply_shift)
+    return f"delta_n,price\n{x_star!r},{p_star!r}\n"
+
+
+def _adas_sweep(base, args, sweep) -> str:
+    curves = adas_curves(*base, delta_n=sweep, delta_s=sweep)
+    return _csv_text("x,ad,sras", (sweep, curves.ad[:, 1], curves.sras[:, 1]))
+
+
+def _islm_crossing(base, args) -> str:
+    x_star, i_star = islm_equilibrium(*base, delta_m=args.delta_m, is_shift=args.is_shift)
+    return f"delta_n,rate\n{x_star!r},{i_star!r}\n"
+
+
+def _islm_sweep(base, args, sweep) -> str:
+    n0, *rest = base
+    curves = islm_curves(n0, CurveShift(delta_n=args.delta_n, delta_m=args.delta_m), *rest, sweep)
+    return _csv_text("x,lm,is", (sweep, curves.lm[:, 1], curves.is_curve[:, 1]))
+
+
+# model -> (required flags, in the library's argument order; --equilibrium
+# writer; writer of the curves swept over --grid)
+CURVE_MODELS = {
+    "adas": (("n0", "s0", "k-a", "n-ref", "s-ref"), _adas_crossing, _adas_sweep),
+    "islm": (("n0", "m-ref", "s-ref", "k-p", "k-s", "k-i"), _islm_crossing, _islm_sweep),
+}
+
+# model -> (--input names, --x0 names, whether --x0 is required, the fit on
+# grid t of the series s from x0, None when --x0 is left out)
+FITS = {
+    "price-level": (
+        ("n", "m", "p"),
+        ("alpha", "gamma", "M0"),
+        True,
+        lambda s, t, x0, args: fit_price_level(*s, t, x0, tol=args.tol, max_iter=args.max_iter),
+    ),
+    "interest": (
+        ("n", "mlong", "mshort", "rlong", "rshort"),
+        ("k_i", "k_p"),
+        True,
+        lambda s, t, x0, args: fit_interest(*s, t, x0),
+    ),
+    # without x0 the fit starts from the log-linear closed form
+    "cobb-douglas": (
+        ("n", "k", "l"),
+        ("A", "k1", "k2"),
+        False,
+        lambda s, t, x0, args: fit_cobb_douglas(*s, t, x0),
+    ),
+}
 
 
 def _cmd_smooth(args, parser: _Parser) -> int:
@@ -177,121 +216,34 @@ def _cmd_smooth(args, parser: _Parser) -> int:
 
 
 def _cmd_eval(args, parser: _Parser) -> int:
-    model = args.model
-
-    if model == "ridge":
-        scalars = _require_scalars(args, parser, ("kappa", "gamma"))
-        _emit(f"{ridge_sigma(scalars['kappa'], scalars['gamma'])!r}\n", args.output)
+    if args.model == "ridge":
+        kappa, gamma = _require_scalars(args, parser, ("kappa", "gamma"))
+        _emit(f"{ridge_sigma(kappa, gamma)!r}\n", args.output)
         return 0
-
-    if model == "adas":
-        scalars = _require_scalars(args, parser, ("n0", "s0", "k-a", "n-ref", "s-ref"))
-        base = (scalars["n0"], scalars["s0"], scalars["k-a"], scalars["n-ref"], scalars["s-ref"])
-        if args.equilibrium:
-            x_star, p_star = adas_equilibrium(*base, supply_shift=args.supply_shift)
-            _emit(f"delta_n,price\n{x_star!r},{p_star!r}\n", args.output)
-            return 0
-        sweep = _require_grid(args, parser)
-        curves = adas_curves(*base, delta_n=sweep, delta_s=sweep)
-        _emit(_csv_text("x,ad,sras", (sweep, curves.ad[:, 1], curves.sras[:, 1])), args.output)
+    if args.model in CURVE_MODELS:
+        flags, crossing, sweep = CURVE_MODELS[args.model]
+        base = _require_scalars(args, parser, flags)
+        text = crossing(base, args) if args.equilibrium else sweep(base, args, _require_grid(args, parser))
+        _emit(text, args.output)
         return 0
-
-    if model == "islm":
-        scalars = _require_scalars(args, parser, ("n0", "m-ref", "s-ref", "k-p", "k-s", "k-i"))
-        base = (
-            scalars["n0"],
-            scalars["m-ref"],
-            scalars["s-ref"],
-            scalars["k-p"],
-            scalars["k-s"],
-            scalars["k-i"],
-        )
-        if args.equilibrium:
-            x_star, i_star = islm_equilibrium(*base, delta_m=args.delta_m, is_shift=args.is_shift)
-            _emit(f"delta_n,rate\n{x_star!r},{i_star!r}\n", args.output)
-            return 0
-        sweep = _require_grid(args, parser)
-        shift = CurveShift(delta_n=args.delta_n, delta_m=args.delta_m)
-        curves = islm_curves(
-            scalars["n0"],
-            shift,
-            scalars["m-ref"],
-            scalars["s-ref"],
-            scalars["k-p"],
-            scalars["k-s"],
-            scalars["k-i"],
-            sweep,
-        )
-        _emit(_csv_text("x,lm,is", (sweep, curves.lm[:, 1], curves.is_curve[:, 1])), args.output)
-        return 0
-
+    names, values = SERIES_MODELS[args.model]
     grid = _require_grid(args, parser)
-    params = _require_params(args, parser)
-    series = _load_inputs(args, parser, EVAL_INPUTS[model], smooth=_smooth_config(args))
-
-    if model == "price-level":
-        n = interp_linear(series["n"], grid)
-        m = interp_linear(series["m"], grid)
-        values = price_level(n, m, price_level_params(params))
-    elif model == "inflation":
-        out = inflation_model(series["n"], series["m"], price_level_params(params), grid)
-        values = out.v
-    elif model == "interest":
-        n = interp_linear(series["n"], grid)
-        m = interp_linear(series["m"], grid)
-        values = interest_rate(n, m, interest_params(params))
-    elif model == "okun":
-        if "k_H" not in params:
-            raise ParseError("missing keys: k_H")
-        out = okun_hours(series["n"], series["p"], params["k_H"], grid)
-        values = out.v
-    else:  # cobb-douglas
-        kv = interp_linear(series["k"], grid)
-        lv = interp_linear(series["l"], grid)
-        values = cobb_douglas(kv, lv, cobb_douglas_params(params))
-
-    _emit(_csv_text("t,value", (grid, np.atleast_1d(values))), args.output)
+    if args.params is None:
+        parser.error("--params is required for this model")
+    params = load_params(args.params)
+    series = _series(args, parser, names)
+    _emit(_csv_text("t,value", (grid, np.atleast_1d(values(series, grid, params)))), args.output)
     return 0
 
 
 def _cmd_fit(args, parser: _Parser) -> int:
-    model = args.model
+    names, x0_names, x0_required, fit = FITS[args.model]
     grid = _require_grid(args, parser)
-    smooth = _smooth_config(args)
-    series = _load_inputs(args, parser, FIT_INPUTS[model])
-
-    if model == "price-level":
-        if args.x0 is None:
-            parser.error("--x0 alpha,gamma,M0 is required for this model")
-        x0 = _parse_floats(args.x0, 3, "--x0", parser)
-        result = fit_price_level(
-            series["n"],
-            series["m"],
-            series["p"],
-            grid,
-            x0,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            smooth=smooth,
-        )
-    elif model == "interest":
-        if args.x0 is None:
-            parser.error("--x0 k_i,k_p is required for this model")
-        x0 = _parse_floats(args.x0, 2, "--x0", parser)
-        result = fit_interest(
-            series["n"],
-            series["mlong"],
-            series["mshort"],
-            series["rlong"],
-            series["rshort"],
-            grid,
-            x0,
-            smooth=smooth,
-        )
-    else:  # cobb-douglas; x0 defaults to the log-linear closed form
-        x0 = None if args.x0 is None else _parse_floats(args.x0, 3, "--x0", parser)
-        result = fit_cobb_douglas(series["n"], series["k"], series["l"], grid, x0, smooth=smooth)
-
+    series = _series(args, parser, names)
+    if args.x0 is None and x0_required:
+        parser.error(f"--x0 {','.join(x0_names)} is required for this model")
+    x0 = None if args.x0 is None else _parse_x0(args.x0, len(x0_names), parser)
+    result = fit(series, grid, x0, args)
     _emit(json.dumps(fit_report(result), indent=2) + "\n", args.output)
     if result.at_bound:
         print(f"infoeq: warning: fit ended on a bound: {', '.join(result.at_bound)}", file=sys.stderr)
@@ -328,12 +280,11 @@ def _add_output(sub: _Parser) -> None:
     sub.add_argument("-o", "--output", metavar="PATH", help="write here instead of stdout")
 
 
-def _add_grid(sub: _Parser) -> None:
+def _add_model_inputs(sub: _Parser) -> None:
+    """The --input series, the grid and the LOESS flags that eval and fit share."""
+    sub.add_argument("--input", action="append", metavar="NAME=PATH", help="named input series (repeatable)")
     sub.add_argument("--grid", metavar="START:STOP:COUNT", help="evaluation grid")
     sub.add_argument("--grid-scale", choices=("lin", "log"), default="lin")
-
-
-def _add_smoothing(sub: _Parser) -> None:
     sub.add_argument("--span", type=float, help="smooth inputs first with this LOESS span")
     sub.add_argument("--degree", type=int, choices=(1, 2), default=2, help="LOESS degree")
 
@@ -353,16 +304,9 @@ def build_parser() -> _Parser:
     smooth.set_defaults(func=_cmd_smooth)
 
     ev = commands.add_parser("eval", help="evaluate a model")
-    ev.add_argument("model", choices=EVAL_MODELS)
+    ev.add_argument("model", choices=(*SERIES_MODELS, *CURVE_MODELS, "ridge"))
     ev.add_argument("--params", metavar="PATH", help="key=value parameter file")
-    ev.add_argument(
-        "--input",
-        action="append",
-        metavar="NAME=PATH",
-        help="named input series (repeatable)",
-    )
-    _add_grid(ev)
-    _add_smoothing(ev)
+    _add_model_inputs(ev)
     for flag in ("--n0", "--s0", "--k-a", "--n-ref", "--s-ref", "--m-ref", "--k-p", "--k-s", "--k-i"):
         ev.add_argument(flag, type=float, help="curve parameter (adas/islm)")
     ev.add_argument("--supply-shift", type=float, default=0.0, help="adas: shift SRAS right")
@@ -376,15 +320,8 @@ def build_parser() -> _Parser:
     ev.set_defaults(func=_cmd_eval)
 
     fit = commands.add_parser("fit", help="fit a model, write a JSON report")
-    fit.add_argument("model", choices=FIT_MODELS)
-    fit.add_argument(
-        "--input",
-        action="append",
-        metavar="NAME=PATH",
-        help="named input series (repeatable)",
-    )
-    _add_grid(fit)
-    _add_smoothing(fit)
+    fit.add_argument("model", choices=tuple(FITS))
+    _add_model_inputs(fit)
     fit.add_argument("--x0", metavar="V1,V2,...", help="starting parameters")
     fit.add_argument("--tol", type=float, default=1e-8, help="price-level only: search tolerance")
     fit.add_argument("--max-iter", type=int, default=10_000, help="price-level only: iteration cap")

@@ -39,7 +39,7 @@ from .macro import (
     interest_rate,
     price_level,
 )
-from .timeseries import LoessConfig, TimeSeries, interp_linear, loess_smooth
+from .timeseries import TimeSeries, interp_linear
 
 __all__ = [
     "FitProblem",
@@ -54,6 +54,9 @@ __all__ = [
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# a search whose scaled point passes this has run off to the edge of the
+# float range: it stops unconverged, before differences of points overflow
+_EDGE = float(np.finfo(float).max) / 4.0
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,8 @@ def _line_min(f, x, d, fx, lo, hi, tol):
 
 
 def minimize(problem: FitProblem) -> FitResult:
-    """Principal-axis search over the problem box. Deterministic."""
+    """Principal-axis search over the problem box. Deterministic. A search
+    that runs off to the edge of the float range stops unconverged."""
     scale = np.where(np.abs(problem.x0) > 0.0, np.abs(problem.x0), 1.0)
     lo = problem.lower / scale
     hi = problem.upper / scale
@@ -217,9 +221,15 @@ def minimize(problem: FitProblem) -> FitResult:
             if drop > biggest_drop:
                 biggest_drop, biggest_idx = drop, i
             line_searches += 1
+        if float(np.max(np.abs(z))) > _EDGE:
+            break
         displacement = z - z_old
-        norm = float(np.linalg.norm(displacement))
-        if norm > 0.0:
+        peak = float(np.max(np.abs(displacement)))
+        if peak > 0.0:
+            # scaled by a power of two, so exactly displacement / |displacement|
+            # without the norm overflowing
+            unit = np.ldexp(displacement, -math.frexp(peak)[1])
+            unit /= np.linalg.norm(unit)
             extrapolated = np.clip(2.0 * z - z_old, lo, hi)
             f_ext = f(extrapolated)
             if f_ext < f_old:
@@ -228,9 +238,11 @@ def minimize(problem: FitProblem) -> FitResult:
                     - biggest_drop * (f_old - f_ext) ** 2
                 )
                 if test < 0.0:
-                    dirs[biggest_idx] = displacement / norm
-                    z, fz = _line_min(f, z, dirs[biggest_idx], fz, lo, hi, tol)
+                    dirs[biggest_idx] = unit
+                    z, fz = _line_min(f, z, unit, fz, lo, hi, tol)
                     line_searches += 1
+        if float(np.max(np.abs(z))) > _EDGE:
+            break
         if float(np.max(np.abs(z - z_old))) < tol and (f_old - fz) < tol:
             quiet_cycles += 1
             if quiet_cycles >= 2:
@@ -334,9 +346,7 @@ def _logs(*values):
     return [np.log(v) for v in values]
 
 
-def _prepare(ts: TimeSeries, grid, smooth: LoessConfig | None) -> np.ndarray:
-    if smooth is not None:
-        ts = loess_smooth(ts, smooth)
+def _prepare(ts: TimeSeries, grid) -> np.ndarray:
     return np.asarray(interp_linear(ts, grid), dtype=float)
 
 
@@ -365,7 +375,6 @@ def fit_price_level(
     bounds=None,
     tol: float = 1e-8,
     max_iter: int = 10_000,
-    smooth: LoessConfig | None = None,
 ) -> FitResult:
     """Fit (alpha, gamma, m0) of the price level to a deflator series.
 
@@ -378,9 +387,9 @@ def fit_price_level(
     a larger gamma*m0 are rejected.
     """
     grid = np.asarray(grid, dtype=float)
-    n = _prepare(n_ts, grid, smooth)
-    m = _prepare(m_ts, grid, smooth)
-    p = _prepare(p_ts, grid, smooth)
+    n = _prepare(n_ts, grid)
+    m = _prepare(m_ts, grid)
+    p = _prepare(p_ts, grid)
     names = ("alpha", "gamma", "M0")
     x0, lower, upper = _box(x0, bounds, _default_bounds, names, (True, True, True))
     if np.any(lower <= 0.0):
@@ -425,7 +434,6 @@ def fit_interest(
     grid,
     x0,
     bounds=None,
-    smooth: LoessConfig | None = None,
 ) -> FitResult:
     """Simultaneously fit (k_i, k_p) to long and short rates in log space.
 
@@ -438,11 +446,11 @@ def fit_interest(
     the (k_i, k_p) box; a bound that binds holds the parameter on it.
     """
     grid = np.asarray(grid, dtype=float)
-    n = _prepare(n_ts, grid, smooth)
-    m_long = _prepare(m_long_ts, grid, smooth)
-    m_short = _prepare(m_short_ts, grid, smooth)
-    r_long = _prepare(long_rate_ts, grid, smooth)
-    r_short = _prepare(short_rate_ts, grid, smooth)
+    n = _prepare(n_ts, grid)
+    m_long = _prepare(m_long_ts, grid)
+    m_short = _prepare(m_short_ts, grid)
+    r_long = _prepare(long_rate_ts, grid)
+    r_short = _prepare(short_rate_ts, grid)
     names = ("k_i", "k_p")
     x0, lower, upper = _box(x0, bounds, _default_bounds, names, (True, True))
     ln_n, ln_ml, ln_ms, ln_rl, ln_rs = _logs(n, m_long, m_short, r_long, r_short)
@@ -486,7 +494,6 @@ def fit_cobb_douglas(
     grid,
     x0=None,
     bounds=None,
-    smooth: LoessConfig | None = None,
 ) -> FitResult:
     """Fit (a, k1, k2) by least squares on logs over a box.
 
@@ -496,9 +503,9 @@ def fit_cobb_douglas(
     the closed form.
     """
     grid = np.asarray(grid, dtype=float)
-    n = _prepare(n_ts, grid, smooth)
-    kv = _prepare(k_ts, grid, smooth)
-    lv = _prepare(l_ts, grid, smooth)
+    n = _prepare(n_ts, grid)
+    kv = _prepare(k_ts, grid)
+    lv = _prepare(l_ts, grid)
     if x0 is None:
         closed = cobb_douglas_loglinear(kv, lv, n)
         x0 = (closed.a, closed.k1, closed.k2)

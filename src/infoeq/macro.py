@@ -21,7 +21,7 @@ import numpy as np
 from ._checks import fields, finite, positive, scalar
 from .errors import DegenerateEquilibrium, DomainError, ModelDomainError
 from .relations import IERelation, ge_price
-from .timeseries import LoessConfig, TimeSeries, interp_linear, loess_smooth, log_growth
+from .timeseries import TimeSeries, interp_linear, log_growth
 
 __all__ = [
     "PriceLevelParams",
@@ -52,6 +52,8 @@ __all__ = [
     "output_investment_relation",
     "ridge_sigma",
 ]
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,13 @@ class CurveShift:
     delta_s: float = 0.0
 
 
+def _exp(x: float, name: str) -> float:
+    """math.exp(x), or DomainError where it would overflow the float range."""
+    if x > _LOG_MAX:
+        raise DomainError(f"{name}: exp({x!r}) exceeds the float range")
+    return math.exp(x)
+
+
 def _log_ratio(value, scale: float, label: str):
     """log(value/scale) requiring value/scale > 1 (log must stay positive)."""
     ratio = finite(value, label, ModelDomainError) / scale
@@ -172,16 +181,12 @@ def inflation_model(
     m_ts: TimeSeries,
     params: PriceLevelParams,
     grid,
-    smooth: LoessConfig | None = None,
 ) -> TimeSeries:
     """Model inflation: annualized log growth of the model price level.
 
-    Inputs may optionally be LOESS-smoothed first (pass a LoessConfig),
-    mirroring how noisy measured aggregates are prepared.
+    The series are taken as given; smooth noisy measured aggregates with
+    loess_smooth first.
     """
-    if smooth is not None:
-        n_ts = loess_smooth(n_ts, smooth)
-        m_ts = loess_smooth(m_ts, smooth)
     grid = np.asarray(grid, dtype=float)
     n = interp_linear(n_ts, grid)
     m = interp_linear(m_ts, grid)
@@ -260,7 +265,7 @@ def solow_equilibrium(params: SolowCapitalParams) -> float:
     if params.sigma == params.delta:
         raise DegenerateEquilibrium("sigma == delta leaves the crossing undefined")
     expo = params.sigma * params.delta * math.log(params.i0 / params.dep0)
-    return params.k0 * math.exp(expo / (params.sigma - params.delta))
+    return params.k0 * _exp(expo / (params.sigma - params.delta), "solow_equilibrium")
 
 
 def solow_crossing(params: SolowCapitalParams, tol: float = 1e-10) -> float:
@@ -500,4 +505,4 @@ def ridge_sigma(kappa: float, gamma: float) -> float:
     """
     positive(kappa, "kappa")
     positive(gamma, "gamma")
-    return gamma * math.exp(-(kappa + math.log(gamma)) / kappa)
+    return gamma * _exp(-(kappa + math.log(gamma)) / kappa, "ridge_sigma")

@@ -290,6 +290,11 @@ class TestEval:
     def test_ridge_missing_scalar_is_usage_error(self):
         assert run_cli("eval", "ridge", "--kappa", "1.5").returncode == 1
 
+    def test_ridge_overflow_exits_3_with_one_line(self, capsys):
+        code, out, err = run_main(capsys, ["eval", "ridge", "--kappa", "1e-3", "--gamma", "1e-300"])
+        assert (code, out) == (3, "")
+        assert err.startswith("infoeq: error: ridge_sigma: exp(") and err.count("\n") == 1
+
 
 ISLM_REST = ("--m-ref", "35", "--s-ref", "90", "--k-s", "1.3", "--k-i", "2.6")
 

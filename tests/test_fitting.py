@@ -175,6 +175,20 @@ class TestLineSearch:
             out = minimize(FitProblem(f, np.array([1.0])))
         assert math.isfinite(out.f_star) and out.f_star <= -1.0
 
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0]])
+    def test_objective_unbounded_below_is_not_converged(self, x0):
+        # the search runs to the edge of the float range and must say so,
+        # with no overflow on the way
+        def f(x):
+            v = float(np.sum(x))
+            return -v if math.isfinite(v) else math.nan
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = minimize(FitProblem(f, np.array(x0)))
+        assert out.converged is False
+        assert math.isfinite(out.f_star) and out.f_star <= -1.0
+
 
 def demo_price_level_data():
     """The inputs of the price-level fit in demos/07 (synthetic, seeded)

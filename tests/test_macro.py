@@ -251,6 +251,10 @@ class TestSolow:
         assert solow_investment(below, self.PARAMS) > solow_depreciation(below, self.PARAMS)
         assert solow_investment(above, self.PARAMS) < solow_depreciation(above, self.PARAMS)
 
+    def test_equilibrium_beyond_float_range_is_domain_error(self):
+        with pytest.raises(DomainError, match="^solow_equilibrium: exp.* exceeds the float range$"):
+            solow_equilibrium(SolowCapitalParams(1.0, 0.999, 1.0, 1e10, 1.0))
+
     def test_degenerate_when_indices_match(self):
         params = SolowCapitalParams(sigma=1.5, delta=1.5, k0=1.0, i0=2.0, dep0=1.0)
         with pytest.raises(DegenerateEquilibrium):
@@ -381,6 +385,10 @@ class TestSmallPieces:
         kappa, gamma = 2.0, 0.3
         expect = gamma * math.exp(-(kappa + math.log(gamma)) / kappa)
         assert ridge_sigma(kappa, gamma) == expect
+
+    def test_ridge_sigma_beyond_float_range_is_domain_error(self):
+        with pytest.raises(DomainError, match="^ridge_sigma: exp.* exceeds the float range$"):
+            ridge_sigma(1e-3, 1e-300)
 
     def test_ridge_sigma_rejects_non_positive(self):
         with pytest.raises(DomainError):
