@@ -54,8 +54,9 @@ __all__ = [
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-# a search whose scaled point passes this has run off to the edge of the
-# float range: it stops unconverged, before differences of points overflow
+# a search whose point reaches this in scaled or in original units has run
+# off to the edge of the float range: it stops unconverged, before points,
+# their differences or the objective's argument overflow
 _EDGE = float(np.finfo(float).max) / 4.0
 
 
@@ -160,7 +161,8 @@ def _line_min(f, x, d, fx, lo, hi, tol):
     that goes downhill until f rises or the box ends; with no downhill
     probe the probes bracket t = 0. Brent then searches the bracket."""
     on = d != 0.0
-    span = np.sort([(lo - x)[on] / d[on], (hi - x)[on] / d[on]], axis=0)
+    with np.errstate(over="ignore"):  # a limit beyond the float range is none
+        span = np.sort([(lo - x)[on] / d[on], (hi - x)[on] / d[on]], axis=0)
     t_lo, t_hi = float(span[0].max()), float(span[1].min())
     if not t_lo < t_hi:
         return x, fx
@@ -189,8 +191,9 @@ def minimize(problem: FitProblem) -> FitResult:
     """Principal-axis search over the problem box. Deterministic. A search
     that runs off to the edge of the float range stops unconverged."""
     scale = np.where(np.abs(problem.x0) > 0.0, np.abs(problem.x0), 1.0)
-    lo = problem.lower / scale
-    hi = problem.upper / scale
+    reach = _EDGE / np.maximum(scale, 1.0)  # |z| and |z * scale| stay <= _EDGE
+    lo = np.maximum(problem.lower / scale, -reach)
+    hi = np.minimum(problem.upper / scale, reach)
 
     def f(z):
         return float(problem.objective(z * scale))
@@ -221,7 +224,7 @@ def minimize(problem: FitProblem) -> FitResult:
             if drop > biggest_drop:
                 biggest_drop, biggest_idx = drop, i
             line_searches += 1
-        if float(np.max(np.abs(z))) > _EDGE:
+        if np.any(np.abs(z) >= reach):
             break
         displacement = z - z_old
         peak = float(np.max(np.abs(displacement)))
@@ -241,7 +244,7 @@ def minimize(problem: FitProblem) -> FitResult:
                     dirs[biggest_idx] = unit
                     z, fz = _line_min(f, z, unit, fz, lo, hi, tol)
                     line_searches += 1
-        if float(np.max(np.abs(z))) > _EDGE:
+        if np.any(np.abs(z) >= reach):
             break
         if float(np.max(np.abs(z - z_old))) < tol and (f_old - fz) < tol:
             quiet_cycles += 1

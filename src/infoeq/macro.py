@@ -505,4 +505,8 @@ def ridge_sigma(kappa: float, gamma: float) -> float:
     """
     positive(kappa, "kappa")
     positive(gamma, "gamma")
-    return gamma * _exp(-(kappa + math.log(gamma)) / kappa, "ridge_sigma")
+    e = -(kappa + math.log(gamma)) / kappa
+    if e <= _LOG_MAX:
+        return gamma * math.exp(e)
+    # exp(e) alone overflows, but gamma < 1 may bring sigma back in range
+    return _exp(math.log(gamma) + e, "ridge_sigma")

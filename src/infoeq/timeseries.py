@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import scalar
 from .errors import (
@@ -291,46 +292,84 @@ def interp_linear(ts: TimeSeries, t):
     return scalar(np.interp(t_arr, ts.t, ts.v))
 
 
-def _tricube(u: np.ndarray) -> np.ndarray:
-    w = np.clip(np.abs(u), 0.0, 1.0)
-    return (1.0 - w**3) ** 3
+# float64 elements in one block of gathered windows (64 KiB); bounds the
+# temporaries of loess_smooth
+_LOESS_BLOCK = 1 << 13
+
+
+def _window_starts(t: np.ndarray, q: int) -> np.ndarray:
+    """Start lo of each point's window [lo, lo+q) of its q nearest points.
+
+    t is strictly increasing, so the window is contiguous. It moves right
+    past lo while t[lo+q] is strictly nearer than t[lo]; on equal
+    distances the left point stays, as in a stable argsort of |t - t[i]|.
+    The test is monotone in lo, so all windows come from one vectorized
+    binary search over lo in [max(0, i-q+1), min(i, n-q)].
+    """
+    n = t.size
+    i = np.arange(n)
+    lo = np.maximum(i - q + 1, 0)
+    hi = np.minimum(i, n - q)  # the window always fits at hi
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2  # below hi, so t[mid + q] exists, unless lo == hi
+        stay = (lo == hi) | (t[np.minimum(mid + q, n - 1)] - t[i] >= t[i] - t[mid])
+        hi = np.where(stay, mid, hi)
+        lo = np.where(stay, lo, mid + 1)
+    return lo
 
 
 def loess_smooth(ts: TimeSeries, config: LoessConfig = LoessConfig()) -> TimeSeries:
     """LOESS smoothing: local weighted polynomial fit at every sample point.
 
     For each target point the window holds the ceil(span*n) nearest
-    neighbours by time distance; weights are tricube in distance scaled by
-    the window radius. The local basis is centred on the target so the
-    fitted value is the intercept. Output timestamps equal the input
-    timestamps. Polynomials of degree <= config.degree are reproduced
-    exactly (up to rounding).
+    neighbours by time distance (on equal distances the earlier point);
+    weights are tricube in distance scaled by the window radius. Output
+    timestamps equal the input timestamps. Polynomials of degree <=
+    config.degree are reproduced exactly (up to rounding).
+
+    Computed as arrays (Cleveland, JASA 74, 1979): each window is a
+    contiguous range, found for all points by one binary search. Each
+    local fit is solved from its weighted moments in radius-scaled
+    coordinates u = (t_j - t_i)/radius in [-1, 1] by one batched solve of
+    the (degree+1)-square normal equations, and the fitted value is the
+    intercept. Windows are gathered in blocks of about 8K elements, so
+    memory stays bounded at any span. A fit whose moment matrix has rank
+    below degree+1 by matrix_rank's rule (eigenvalues above
+    (degree+1)*eps of the largest) raises SingularFit: every window with
+    fewer than degree+1 points of positive weight, and any whose normal
+    equations are singular to working precision.
     """
     n = len(ts)
     q = config.window(n)
-    out = np.empty(n)
-    for i in range(n):
-        d = np.abs(ts.t - ts.t[i])
-        idx = np.argsort(d, kind="stable")[:q]
-        radius = d[idx[-1]]
-        if radius == 0.0:
-            raise SingularFit("window radius is zero")
-        w = _tricube(d[idx] / radius)
-        pos = w > 0.0
-        x = ts.t[idx][pos] - ts.t[i]
-        y = ts.v[idx][pos]
-        sw = np.sqrt(w[pos])
-        cols = [np.ones_like(x)]
-        for p in range(1, config.degree + 1):
-            cols.append(x**p)
-        design = np.column_stack(cols) * sw[:, None]
-        beta, _, rank, _ = np.linalg.lstsq(design, y * sw, rcond=None)
-        if rank < config.degree + 1:
-            raise SingularFit(
-                f"local fit at t={ts.t[i]} has rank {rank} < {config.degree + 1}"
-            )
-        out[i] = beta[0]
-    return TimeSeries(ts.t, out, name=ts.name, units=ts.units)
+    k = config.degree + 1
+    t = ts.t
+    starts = _window_starts(t, q)
+    t_win, v_win = sliding_window_view(t, q), sliding_window_view(ts.v, q)
+    moments = np.empty((n, 2 * k - 1))  # sum of w * u**p
+    rhs = np.empty((n, k))  # sum of w * u**p * v
+    rows = max(1, _LOESS_BLOCK // q)
+    for first in range(0, n, rows):
+        i = slice(first, first + rows)
+        lo = starts[i]
+        u = t_win[lo] - t[i, None]
+        u /= np.maximum(u[:, -1], -u[:, 0])[:, None]  # the radius
+        c = np.minimum(np.abs(u), 1.0)
+        c = 1.0 - c * c * c
+        w = c * c * c  # tricube
+        v = v_win[lo]
+        for p in range(2 * k - 1):
+            if p:
+                w *= u
+            moments[i, p] = w.sum(axis=1)
+            if p < k:
+                rhs[i, p] = np.einsum("ij,ij->i", w, v)
+    lhs = moments[:, np.add.outer(np.arange(k), np.arange(k))]
+    rank = np.linalg.matrix_rank(lhs, hermitian=True)
+    if np.any(rank < k):
+        bad = int(np.argmax(rank < k))
+        raise SingularFit(f"local fit at t={t[bad]} has rank {rank[bad]} < {k}")
+    out = np.linalg.solve(lhs, rhs[:, :, None])[:, 0, 0]
+    return TimeSeries(t, out, name=ts.name, units=ts.units)
 
 
 def log_growth(ts: TimeSeries) -> TimeSeries:

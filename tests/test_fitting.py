@@ -190,6 +190,21 @@ class TestLineSearch:
         assert math.isfinite(out.f_star) and out.f_star <= -1.0
 
 
+@pytest.mark.parametrize("x0", [2.0, 5.0, -5.0, 100.0])
+def test_unbounded_search_from_a_large_start_does_not_overflow(x0):
+    # the objective sees z * |x0|: the scaled box keeps that below the float
+    # maximum too, so the search stops at the edge with no overflow
+    def f(x):
+        v = float(x[0])
+        return -v if math.isfinite(v) else math.nan
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = minimize(FitProblem(f, np.array([x0])))
+    assert out.converged is False
+    assert math.isfinite(out.f_star) and out.f_star <= -1.0
+
+
 def demo_price_level_data():
     """The inputs of the price-level fit in demos/07 (synthetic, seeded)
     and in demos/08_cli_tour.sh (bundled snapshots)."""

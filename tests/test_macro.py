@@ -390,6 +390,17 @@ class TestSmallPieces:
         with pytest.raises(DomainError, match="^ridge_sigma: exp.* exceeds the float range$"):
             ridge_sigma(1e-3, 1e-300)
 
+    def test_ridge_sigma_in_range_although_its_exponent_is_not(self):
+        # exp(1398.97...) overflows, but gamma * exp(...) = exp(698.98...) does not
+        sigma = ridge_sigma(0.5, 1e-304)
+        assert math.isfinite(sigma)
+        assert sigma == pytest.approx(math.exp(math.log(1e-304) * (1.0 - 1.0 / 0.5) - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa, gamma", [(1e-3, 1e-300), (0.5, 1e-310)])
+    def test_ridge_sigma_beyond_float_range_still_raises(self, kappa, gamma):
+        with pytest.raises(DomainError, match="^ridge_sigma: exp.* exceeds the float range$"):
+            ridge_sigma(kappa, gamma)
+
     def test_ridge_sigma_rejects_non_positive(self):
         with pytest.raises(DomainError):
             ridge_sigma(0.0, 1.0)

@@ -1,13 +1,15 @@
-"""Property-based checks of the closed forms (skipped without hypothesis)."""
+"""Property-based checks of the closed forms, and of LOESS against its
+per-point oracle (skipped without hypothesis)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -15,8 +17,10 @@ from infoeq import (  # noqa: E402
     CobbDouglasParams,
     IERelation,
     InterestParams,
+    LoessConfig,
     MarketEnsemble,
     PriceLevelParams,
+    SingularFit,
     SolowCapitalParams,
     TimeSeries,
     cobb_douglas,
@@ -32,6 +36,7 @@ from infoeq import (  # noqa: E402
     k_index,
     k_index_gradient,
     log_growth,
+    loess_smooth,
     ode_oracle,
     partition_fn,
     price_level,
@@ -40,6 +45,7 @@ from infoeq import (  # noqa: E402
     solow_investment,
     supply_curve,
 )
+from loess_oracle import LOESS_TOL, loess_oracle  # noqa: E402
 
 # no example database on disk, and no per-example deadline on a busy host
 SETTINGS = settings(database=None, deadline=None, max_examples=60)
@@ -131,3 +137,37 @@ def test_scalar_in_scalar_out_array_in_array_out(name, x):
         assert outs == CLOSED_FORMS[name](float(x))
     else:
         assert all(isinstance(out, np.ndarray) and out.shape == x.shape for out in outs)
+
+
+# LOESS array path against the per-point oracle. Gaps stay within a factor
+# of 20 of each other, as on sampled data; evenly spaced grids with a
+# binary step have exact distance ties in every window.
+@st.composite
+def loess_cases(draw):
+    n = draw(st.integers(3, 60))
+    start = draw(st.floats(1900.0, 2100.0))
+    if draw(st.booleans()):
+        t = start + draw(st.sampled_from([0.25, 0.5, 1.0])) * np.arange(n)
+    else:
+        gaps = draw(hnp.arrays(float, n - 1, elements=st.floats(0.05, 1.0)))
+        t = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    v = draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    degree = draw(st.sampled_from([1, 2]))
+    # a span whose window holds about q >= degree + 1 points
+    q = draw(st.integers(degree + 1, n))
+    span = draw(st.floats((q - 0.5) / n, q / n))
+    assume(math.ceil(span * n) >= degree + 1)
+    return TimeSeries(t, v), LoessConfig(degree=degree, span=span)
+
+
+@settings(SETTINGS, max_examples=300, derandomize=True)
+@given(loess_cases())
+def test_loess_matches_per_point_oracle(case):
+    ts, config = case
+    try:
+        want, scale = loess_oracle(ts, config)
+    except SingularFit as exc:
+        with pytest.raises(SingularFit, match=f"^{re.escape(str(exc))}$"):
+            loess_smooth(ts, config)
+        return
+    assert np.all(np.abs(loess_smooth(ts, config).v - want) <= LOESS_TOL * scale)

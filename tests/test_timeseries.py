@@ -1,10 +1,12 @@
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from infoeq import timeseries
-from infoeq.data import SERIES, bundled_path
+from infoeq import cli, timeseries
+from infoeq.data import SERIES, bundled_path, bundled_series
+from loess_oracle import LOESS_TOL, loess_oracle
 from infoeq import (
     DomainError,
     DuplicateTimestamp,
@@ -13,6 +15,7 @@ from infoeq import (
     LoessConfig,
     OutOfRange,
     ParseError,
+    SingularFit,
     TimeSeries,
     align,
     decimal_year,
@@ -430,6 +433,88 @@ class TestLoess:
         out = loess_smooth(ts)
         assert np.array_equal(out.t, ts.t)
         assert out.name == "n" and out.units == "u"
+
+
+# (timestamps, span, degree, message): a rank-deficient window at t = 0
+SINGULAR_WINDOWS = [
+    # q = degree + 1: the farthest point has weight 0
+    ([0.0, 1.0, 2.0], 0.5, 1, "local fit at t=0.0 has rank 1 < 2"),
+    ([0.0, 1.0, 2.0, 3.0], 0.75, 2, "local fit at t=0.0 has rank 2 < 3"),
+    # the second point sits 1e-12 inside the radius: its weight is ~3e-35
+    ([0.0, 1.0, 1.0 + 1e-12], 1.0, 1, "local fit at t=0.0 has rank 1 < 2"),
+]
+
+
+class TestLoessSingularFit:
+    @pytest.mark.parametrize("t, span, degree, message", SINGULAR_WINDOWS)
+    def test_rank_deficient_window_raises(self, t, span, degree, message):
+        ts = TimeSeries(np.array(t), np.arange(1.0, len(t) + 1.0))
+        with pytest.raises(SingularFit) as info:
+            loess_smooth(ts, LoessConfig(degree=degree, span=span))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("t, span, degree, message", SINGULAR_WINDOWS)
+    def test_cli_exits_3_with_one_line(self, tmp_path, capsys, t, span, degree, message):
+        save_csv(TimeSeries(np.array(t), np.arange(1.0, len(t) + 1.0)), tmp_path / "raw.csv")
+        argv = ["smooth", str(tmp_path / "raw.csv"), "--span", repr(span), "--degree", str(degree)]
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (3, "", f"infoeq: error: {message}\n")
+
+    def test_weight_below_working_precision_of_the_moments_raises(self):
+        # t=0 sits 1e-7 inside the radius of t=0.5's window, so its weight
+        # is ~2e-19: the normal equations cannot see it, although the
+        # weighted design still has rank 2 by lstsq's rcond
+        ts = TimeSeries(np.array([0.0, 0.5, 1.0 + 1e-7]), np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(SingularFit, match=r"^local fit at t=0\.5 has rank 1 < 2$"):
+            loess_smooth(ts, LoessConfig(degree=1, span=1.0))
+
+
+def assert_matches_oracle(ts, config, points=None):
+    want, scale = loess_oracle(ts, config, points)
+    got = loess_smooth(ts, config).v
+    got = got if points is None else got[points]
+    assert np.all(np.abs(got - want) <= LOESS_TOL * scale)
+
+
+class TestLoessAgainstOracle:
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 50, 101])
+    def test_windows_are_the_stable_argsort_nearest(self, q):
+        rng = np.random.default_rng(q)
+        for t in (1990.0 + 0.25 * np.arange(101), np.sort(rng.uniform(1990.0, 2015.0, 101))):
+            starts = timeseries._window_starts(t, q)
+            for i in range(t.size):
+                nearest = np.sort(np.argsort(np.abs(t - t[i]), kind="stable")[:q])
+                assert np.array_equal(nearest, np.arange(starts[i], starts[i] + q))
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_bundled_series(self, name, degree):
+        ts = bundled_series(name)
+        # both ends and a stride through the middle
+        points = np.unique(np.r_[0 : len(ts) : 7, len(ts) - 1])
+        for span in (0.1, 0.4, 1.0):
+            assert_matches_oracle(ts, LoessConfig(degree=degree, span=span), points)
+
+    @pytest.mark.parametrize("span", [0.05, 0.1, 0.33, 0.5, 1.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_even_grid_where_every_window_has_ties(self, span, degree):
+        t = 1990.0 + 0.25 * np.arange(101)
+        assert_matches_oracle(TimeSeries(t, 100.0 * np.sin(t)), LoessConfig(degree=degree, span=span))
+
+    def test_memory_stays_bounded_at_full_span(self):
+        # windows are gathered in blocks, so span 1.0 on 828 points needs
+        # about 0.5 MB; one (828, 828) array alone would be 5.2 MB
+        ts = bundled_series("mbcurrcir")
+        config = LoessConfig(degree=2, span=1.0)
+        loess_smooth(ts, config)
+        tracemalloc.start()
+        try:
+            loess_smooth(ts, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLogGrowth:
