@@ -1,8 +1,9 @@
-"""The two argument rules every closed form shares.
+"""The rules every closed form shares.
 
 Arguments must be finite, and most must be positive; a 0-d input gives
-a Python float back and an array input gives an array back. Each rule
-is written here once.
+a Python float back and an array input gives an array back. A result
+evaluated from its log is checked against the float range before the
+exp. Each rule is written here once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
+
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 def scalar(out):
@@ -36,6 +39,17 @@ def finite(value, label: str, error=DomainError):
     if not np.isfinite(arr).all():
         raise error(f"{label} must be finite")
     return scalar(arr)
+
+
+def from_log(log_value, label: str):
+    """exp(log_value) (a float if 0-d); raises DomainError naming label
+    where an exponent is NaN or above the float range. A result below the
+    float range rounds to 0."""
+    arr = np.asarray(log_value, dtype=float)
+    ok = arr <= LOG_MAX  # False for NaN
+    if not ok.all():
+        raise DomainError(f"{label}: exp({float(arr[~ok][0])!r}) exceeds the float range")
+    return scalar(np.exp(arr))
 
 
 def fields(obj, *labels: str, check=positive) -> None:

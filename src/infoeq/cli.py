@@ -6,8 +6,8 @@ look their model up in a table and run one pipeline: the --grid, the
 --span is set, then the model or fit, then the output. All numeric
 output is written at repr precision so piping through the CLI loses
 nothing relative to calling the library. Exit codes: 0 success, 1 usage,
-2 unreadable or malformed input, 3 domain violation, 4 fit did not
-converge (the report is still written).
+2 unreadable or malformed input, 3 domain violation (a size over
+MAX_CELLS included), 4 fit did not converge (the report is still written).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .ensemble import MonteCarloConfig, fluctuation_comparison, monte_carlo, series_changes
-from .errors import InfoEqError, NonConvergence, ParseError
+from .errors import DomainError, InfoEqError, ParseError
 from .fitting import fit_cobb_douglas, fit_interest, fit_price_level, fit_report
 from .macro import (
     CurveShift,
@@ -45,6 +45,10 @@ from .timeseries import LoessConfig, _csv_text, interp_linear, load_csv, loess_s
 
 __all__ = ["main"]
 
+# the most cells (grid points, bins, Monte Carlo rows or draws) that one
+# command-line size may ask for; larger sizes raise DomainError unallocated
+MAX_CELLS = 10**7
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the convention here is 1."""
@@ -62,6 +66,11 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
+        raise DomainError(f"{what} asks for {cells} cells, over the limit of {MAX_CELLS}")
+
+
 def _parse_grid(spec: str, scale: str, parser: _Parser) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -72,6 +81,7 @@ def _parse_grid(spec: str, scale: str, parser: _Parser) -> np.ndarray:
         parser.error(f"grid must be start:stop:count, got {spec!r}")
     if count < 1:
         parser.error("grid count must be at least 1")
+    _check_cells(count, "grid count")
     if scale == "log":
         if start <= 0.0 or stop <= 0.0:
             parser.error("log grid endpoints must be positive")
@@ -254,7 +264,10 @@ def _cmd_ensemble(args, parser: _Parser) -> int:
     kwargs = dict(n0=args.n0, a_mean=args.a_mean, a_sd=args.a_sd, runs=args.runs, seed=args.seed)
     if args.m_grid is not None:
         kwargs["m_grid"] = _parse_grid(args.m_grid, args.m_grid_scale, parser)
-    result = monte_carlo(MonteCarloConfig(**kwargs))
+    config = MonteCarloConfig(**kwargs)
+    _check_cells(config.runs * config.m_grid.size, "--runs x grid")
+    _check_cells(config.runs * config.n0, "--runs x --n0 draws")
+    result = monte_carlo(config)
     runs, size = result.avg_a.shape
     columns = (
         np.repeat(np.arange(runs), size),
@@ -268,6 +281,7 @@ def _cmd_ensemble(args, parser: _Parser) -> int:
 
 
 def _cmd_fluctuation(args, parser: _Parser) -> int:
+    _check_cells(args.bins, "--bins")
     ts = load_csv(args.path)
     changes = series_changes(ts, mode=args.mode)
     result = fluctuation_comparison(changes, bins=args.bins)
@@ -350,7 +364,7 @@ def build_parser() -> _Parser:
 
 
 # first matching type wins, so subclasses of InfoEqError precede it
-EXIT_CODES = ((ParseError, 2), (OSError, 2), (NonConvergence, 4), (InfoEqError, 3))
+EXIT_CODES = ((ParseError, 2), (OSError, 2), (InfoEqError, 3))
 
 
 @functools.cache

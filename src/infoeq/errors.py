@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parse problems exit 2, model/domain
-problems exit 3, non-convergence exits 4.
+problems exit 3. A fit that does not converge exits 4 from its report,
+not from an exception.
 """
 
 __all__ = [

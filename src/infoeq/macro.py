@@ -6,6 +6,9 @@ index k(N, M); the quantity theory of money is the k = 2 limit. Interest
 rates, an Okun-style hours identity, Cobb-Douglas production, a Solow
 capital equilibrium, AD-AS and IS-LM curve generators, and the ridge line
 of the price-level surface all reduce to the same handful of closed forms.
+Each is a sum of logs, so no product of parameters over- or underflows;
+a result above the float range raises DomainError naming its function,
+and one below it is 0. Each curve's sweep and crossing share one formula.
 
 Scalar formulas accept numpy arrays and broadcast; series-driven models
 take TimeSeries inputs and evaluate on explicit decimal-year grids.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import fields, finite, positive, scalar
+from ._checks import LOG_MAX, fields, finite, from_log, positive, scalar
 from .errors import DegenerateEquilibrium, DomainError, ModelDomainError
 from .relations import IERelation, ge_price
 from .timeseries import TimeSeries, interp_linear, log_growth
@@ -52,8 +55,6 @@ __all__ = [
     "output_investment_relation",
     "ridge_sigma",
 ]
-
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -121,27 +122,17 @@ class CurveShift:
     delta_s: float = 0.0
 
 
-def _exp(x: float, name: str) -> float:
-    """math.exp(x), or DomainError where it would overflow the float range."""
-    if x > _LOG_MAX:
-        raise DomainError(f"{name}: exp({x!r}) exceeds the float range")
-    return math.exp(x)
-
-
-def _log_ratio(value, scale: float, label: str):
-    """log(value/scale) requiring value/scale > 1 (log must stay positive)."""
-    ratio = finite(value, label, ModelDomainError) / scale
-    if np.any(ratio <= 1.0):
-        raise ModelDomainError(
-            f"{label}/(gamma*m0) must exceed 1 (got min {np.min(ratio)!r})"
-        )
-    return np.log(ratio)
+def _log_ratio(value, params: PriceLevelParams, label: str):
+    """log(value/(gamma*m0)) as a difference of logs; it must be positive."""
+    out = np.log(positive(value, label, ModelDomainError)) - math.log(params.gamma) - math.log(params.m0)
+    if not np.all(out > 0.0):
+        raise ModelDomainError(f"{label}/(gamma*m0) must exceed 1 (got min log {np.min(out)!r})")
+    return out
 
 
 def k_index(n, m, params: PriceLevelParams):
     """Information-transfer index k(N, M) = log(N/(gamma*m0)) / log(M/(gamma*m0))."""
-    scale = params.gamma * params.m0
-    return scalar(_log_ratio(n, scale, "n") / _log_ratio(m, scale, "m"))
+    return scalar(_log_ratio(n, params, "n") / _log_ratio(m, params, "m"))
 
 
 def k_index_gradient(n, m, params: PriceLevelParams):
@@ -151,9 +142,8 @@ def k_index_gradient(n, m, params: PriceLevelParams):
     dk/dm = -log(n/(gamma*m0))/(m*log(m/(gamma*m0))**2).
     Both vanish as n and m grow, which is what makes k slowly varying.
     """
-    scale = params.gamma * params.m0
-    log_n = _log_ratio(n, scale, "n")
-    log_m = _log_ratio(m, scale, "m")
+    log_n = _log_ratio(n, params, "n")
+    log_m = _log_ratio(m, params, "m")
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
     dk_dn = 1.0 / (n * log_m)
@@ -167,7 +157,8 @@ def price_level_at_index(k, m, alpha: float, m0: float):
     positive(m0, "m0")
     k = positive(k, "k", ModelDomainError)
     m = positive(m, "m", ModelDomainError)
-    return scalar(np.exp(np.log(k) + math.log(alpha) + (k - 1.0) * (np.log(m) - math.log(m0))))
+    log_p = np.log(k) + math.log(alpha) + (k - 1.0) * (np.log(m) - math.log(m0))
+    return from_log(log_p, "price_level_at_index")
 
 
 def price_level(n, m, params: PriceLevelParams):
@@ -211,7 +202,7 @@ def interest_rate(n, m, params: InterestParams):
     """
     n = positive(n, "n", ModelDomainError)
     m = positive(m, "m", ModelDomainError)
-    return scalar(np.exp((np.log(n) - np.log(m) - math.log(params.k_p)) / params.k_i))
+    return from_log((np.log(n) - np.log(m) - math.log(params.k_p)) / params.k_i, "interest_rate")
 
 
 def okun_hours(n_ts: TimeSeries, p_ts: TimeSeries, k_h: float, grid) -> TimeSeries:
@@ -240,20 +231,25 @@ def cobb_douglas(capital, labor, params: CobbDouglasParams):
         t, capital, labor = capital.t, capital.v, labor.v
     kv = positive(capital, "capital", ModelDomainError)
     lv = positive(labor, "labor", ModelDomainError)
-    out = np.exp(math.log(params.a) + params.k1 * np.log(kv) + params.k2 * np.log(lv))
-    return TimeSeries(t, out, name="output") if as_series else scalar(out)
+    out = from_log(math.log(params.a) + params.k1 * np.log(kv) + params.k2 * np.log(lv), "cobb_douglas")
+    return TimeSeries(t, out, name="output") if as_series else out
+
+
+def _log_power(log_k, y0: float, k0: float, index: float):
+    """log(y0 * (K/k0)**(1/index)) at log K = log_k: each Solow curve in log space."""
+    return math.log(y0) + (log_k - math.log(k0)) / index
 
 
 def solow_investment(capital, params: SolowCapitalParams):
     """Investment curve I(K) = i0 * (K/k0)**(1/sigma)."""
-    kv = positive(capital, "capital", ModelDomainError)
-    return scalar(params.i0 * np.exp(np.log(kv / params.k0) / params.sigma))
+    log_k = np.log(positive(capital, "capital", ModelDomainError))
+    return from_log(_log_power(log_k, params.i0, params.k0, params.sigma), "solow_investment")
 
 
 def solow_depreciation(capital, params: SolowCapitalParams):
     """Depreciation curve Dep(K) = dep0 * (K/k0)**(1/delta)."""
-    kv = positive(capital, "capital", ModelDomainError)
-    return scalar(params.dep0 * np.exp(np.log(kv / params.k0) / params.delta))
+    log_k = np.log(positive(capital, "capital", ModelDomainError))
+    return from_log(_log_power(log_k, params.dep0, params.k0, params.delta), "solow_depreciation")
 
 
 def solow_equilibrium(params: SolowCapitalParams) -> float:
@@ -264,8 +260,9 @@ def solow_equilibrium(params: SolowCapitalParams) -> float:
     """
     if params.sigma == params.delta:
         raise DegenerateEquilibrium("sigma == delta leaves the crossing undefined")
-    expo = params.sigma * params.delta * math.log(params.i0 / params.dep0)
-    return params.k0 * _exp(expo / (params.sigma - params.delta), "solow_equilibrium")
+    # delta * log first, so i0 == dep0 gives 0 even where sigma*delta overflows
+    expo = params.sigma * (params.delta * (math.log(params.i0) - math.log(params.dep0)))
+    return from_log(math.log(params.k0) + expo / (params.sigma - params.delta), "solow_equilibrium")
 
 
 def solow_crossing(params: SolowCapitalParams, tol: float = 1e-10) -> float:
@@ -276,32 +273,23 @@ def solow_crossing(params: SolowCapitalParams, tol: float = 1e-10) -> float:
     if params.sigma == params.delta:
         raise DegenerateEquilibrium("sigma == delta leaves the crossing undefined")
 
-    log_k0 = math.log(params.k0)
+    def gap(log_k):  # log I(K) - log Dep(K)
+        inv = _log_power(log_k, params.i0, params.k0, params.sigma)
+        return inv - _log_power(log_k, params.dep0, params.k0, params.delta)
 
-    def gap(log_k):
-        # log I(K) - log Dep(K), kept in log space so wide brackets cannot overflow
-        log_inv = math.log(params.i0) + (log_k - log_k0) / params.sigma
-        log_dep = math.log(params.dep0) + (log_k - log_k0) / params.delta
-        return log_inv - log_dep
-
-    return math.exp(_bisect_root(gap, log_k0, tol=tol))
+    return from_log(_bisect_root(gap, math.log(params.k0), tol=tol), "solow_crossing")
 
 
 def _bisect_root(g, x0: float, tol: float = 1e-10, max_expand: int = 200) -> float:
     """Root of a monotone function by expansion bracketing plus bisection."""
     h = 1.0
-    g0 = g(x0)
-    if g0 == 0.0:
-        return x0
     lo = hi = x0
-    glo = ghi = g0
+    glo = ghi = g(x0)
     for _ in range(max_expand):
         if (glo < 0.0) != (ghi < 0.0) or glo == 0.0 or ghi == 0.0:
-            break
-        lo -= h
-        hi += h
-        glo = g(lo)
-        ghi = g(hi)
+            break  # a root at x0 itself leaves lo == hi == x0
+        lo, hi = lo - h, hi + h
+        glo, ghi = g(lo), g(hi)
         h *= 2.0
     else:
         raise DomainError("failed to bracket a root")
@@ -317,8 +305,10 @@ def _bisect_root(g, x0: float, tol: float = 1e-10, max_expand: int = 200) -> flo
             lo = mid
         elif gm > 0.0:
             hi = mid
-        else:
+        elif gm == 0.0:
             return mid
+        else:
+            raise DomainError("the root lies where the function is NaN")
     return 0.5 * (lo + hi)
 
 
@@ -326,6 +316,26 @@ def _check_positive(**values) -> None:
     """positive() on each keyword argument, labelled by its keyword."""
     for label, value in values.items():
         positive(value, label)
+
+
+def _demand(log_n: float, k: float, ref: float):
+    """The log of AD (n0, k_a, s_ref), IS (n0, k_s, s_ref) or LM (n, k_p, m_ref):
+    log(n/(k*ref)) - (k/n)*x at shift x, as (value at 0, log slope, sign)."""
+    return log_n - math.log(k) - math.log(ref), math.log(k) - log_n, -1.0
+
+
+def _sras(s0: float, k_a: float, n_ref: float):
+    """SRAS in log space, log(n_ref/(k_a*s0)) + x/(k_a*s0), as _demand."""
+    log_ks = math.log(k_a) + math.log(s0)
+    return math.log(n_ref) - log_ks, -log_ks, 1.0
+
+
+def _at(curve, x, power: float = 1.0):
+    """A log-space curve at shift x, over power. The slope term is 0 at x = 0
+    and, formed in logs, is +-inf only where the value is far out of range."""
+    value, log_slope, sign = curve
+    with np.errstate(divide="ignore", over="ignore"):
+        return (value + sign * np.sign(x) * np.exp(np.log(np.abs(x)) + log_slope)) / power
 
 
 @dataclass(frozen=True)
@@ -358,8 +368,8 @@ def adas_curves(
     _check_positive(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
     delta_n = np.asarray(delta_n, dtype=float)
     delta_s = np.asarray(delta_s, dtype=float)
-    p_ad = (n0 / (k_a * s_ref)) * np.exp(-k_a * delta_n / n0)
-    p_sras = (n_ref / (k_a * s0)) * np.exp(delta_s / (k_a * s0))
+    p_ad = from_log(_at(_demand(math.log(n0), k_a, s_ref), delta_n), "adas_curves")
+    p_sras = from_log(_at(_sras(s0, k_a, n_ref), delta_s), "adas_curves")
     if s_values is None:
         s_values = s_ref * np.geomspace(0.5, 2.0, 41)
     s_values = np.asarray(s_values, dtype=float)
@@ -383,18 +393,20 @@ def adas_equilibrium(
     delta-quantity coordinate. Returns (delta*, price*).
 
     A positive supply_shift moves SRAS right, lowering the equilibrium
-    price. log SRAS - log AD is linear in delta, so the crossing is
+    price. With a and s the logs of AD and SRAS, a(x) - s(x - shift) is
+    linear in x, so the crossing is
 
-        delta* = (log(n0/(k_a*s_ref)) - log(n_ref/(k_a*s0)) + shift/(k_a*s0))
-                 / (1/(k_a*s0) + k_a/n0).
+        delta* = shift / (1 + k_a**2*s0/n0) + (a(0) - s(0)) / (k_a/n0 + 1/(k_a*s0)),
+
+    with both slopes taken from their logs: an infinite one is a vertical curve.
     """
     _check_positive(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
     finite(supply_shift, "supply_shift")
-    x_star = (
-        math.log(n0 / (k_a * s_ref)) - math.log(n_ref / (k_a * s0)) + supply_shift / (k_a * s0)
-    ) / (1.0 / (k_a * s0) + k_a / n0)
-    price = (n0 / (k_a * s_ref)) * math.exp(-k_a * x_star / n0)
-    return x_star, price
+    ad, sras = _demand(math.log(n0), k_a, s_ref), _sras(s0, k_a, n_ref)
+    with np.errstate(over="ignore"):
+        slopes = np.exp(ad[1]) + np.exp(sras[1])
+        x_star = float(supply_shift / (1.0 + np.exp(ad[1] - sras[1])) + (ad[0] - sras[0]) / slopes)
+    return x_star, from_log(_at(ad, x_star), "adas_equilibrium")
 
 
 @dataclass(frozen=True)
@@ -428,10 +440,8 @@ def islm_curves(
     if n_eff <= 0.0:
         raise ModelDomainError("shifted source n0 + delta_n must stay positive")
     sweep = np.asarray(sweep, dtype=float)
-    lm_pow = (n_eff / (k_p * m_ref)) * np.exp(-k_p * (sweep + shift.delta_m) / n_eff)
-    is_pow = (n0 / (k_s * s_ref)) * np.exp(-k_s * sweep / n0)
-    lm_rate = lm_pow ** (1.0 / k_i)
-    is_rate = is_pow ** (1.0 / k_i)
+    lm_rate = from_log(_at(_demand(math.log(n_eff), k_p, m_ref), sweep + shift.delta_m, k_i), "islm_curves")
+    is_rate = from_log(_at(_demand(math.log(n0), k_s, s_ref), sweep, k_i), "islm_curves")
     return ISLMCurves(
         lm=np.column_stack([sweep, lm_rate]),
         is_curve=np.column_stack([sweep, is_rate]),
@@ -454,28 +464,23 @@ def islm_equilibrium(
     The LM side rises with delta_n, the IS side falls, so the crossing is
     unique; is_shift translates the IS curve to trace out shifted
     equilibria. delta_n is parameterized as n0*(e**u - 1) so the shifted
-    total n0 + delta_n stays positive during bracketing.
+    total n0 + delta_n stays positive, with log(n0) + u as its log.
     """
     _check_positive(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
     finite(delta_m, "delta_m")
     finite(is_shift, "is_shift")
     log_n0 = math.log(n0)
+    is_curve = _demand(log_n0, k_s, s_ref)
 
-    def gap(u):
-        # n0 + delta_n = n0*e**u; numpy exp saturates to inf instead of raising,
-        # so huge brackets during expansion stay well defined
-        with np.errstate(over="ignore"):
-            x = n0 * float(np.expm1(u))
-            inv_n_eff = float(np.exp(-u)) / n0
-        log_lm = log_n0 + u - math.log(k_p * m_ref) - k_p * delta_m * inv_n_eff
-        log_is = math.log(n0 / (k_s * s_ref)) - k_s * (x - is_shift) / n0
-        return log_lm - log_is  # increasing in u
+    def gap(u):  # log LM - log IS, increasing in u; NaN where both are -inf
+        with np.errstate(over="ignore", invalid="ignore"):  # e**u saturates far out in the bracket
+            x = n0 * np.expm1(u) - is_shift
+            return _at(_demand(log_n0 + u, k_p, m_ref), delta_m) - _at(is_curve, x)
 
-    u_star = _bisect_root(gap, 0.0, tol=tol)
-    x_star = n0 * math.expm1(u_star)
-    n_eff = n0 + x_star
-    i_star = ((n_eff / (k_p * m_ref)) * math.exp(-k_p * delta_m / n_eff)) ** (1.0 / k_i)
-    return x_star, i_star
+    u = _bisect_root(gap, 0.0, tol=tol)
+    # n0*expm1(u) keeps full precision near u = 0; far out, n0*e**u alone may be in range
+    x_star = n0 * math.expm1(u) if u < 1.0 else from_log(log_n0 + u, "islm_equilibrium") - n0
+    return x_star, from_log(_at(_demand(log_n0 + u, k_p, m_ref), delta_m, k_i), "islm_equilibrium")
 
 
 def money_mediation(k: float, k_s: float) -> float:
@@ -506,7 +511,7 @@ def ridge_sigma(kappa: float, gamma: float) -> float:
     positive(kappa, "kappa")
     positive(gamma, "gamma")
     e = -(kappa + math.log(gamma)) / kappa
-    if e <= _LOG_MAX:
+    if e <= LOG_MAX:
         return gamma * math.exp(e)
     # exp(e) alone overflows, but gamma < 1 may bring sigma back in range
-    return _exp(math.log(gamma) + e, "ridge_sigma")
+    return from_log(math.log(gamma) + e, "ridge_sigma")

@@ -13,7 +13,8 @@ invert (k -> 1/k with references swapped) and compose along a shared
 intermediate quantity (indices multiply).
 
 All closed forms are evaluated in log space so that large indices and
-wide ranges keep full relative precision.
+wide ranges keep full relative precision. A result above the float range
+raises DomainError naming its function; one below it is 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import fields, finite, positive, scalar
+from ._checks import fields, finite, from_log, positive, scalar
 from .errors import DomainError
 
 __all__ = [
@@ -66,20 +67,14 @@ class IERelation:
 def ge_source(rel: IERelation, s):
     """General-equilibrium source value D(s) = d_ref * (s/s_ref)**k."""
     s = positive(s, "s")
-    out = np.exp(math.log(rel.d_ref) + rel.k * (np.log(s) - math.log(rel.s_ref)))
-    return scalar(out)
+    return from_log(math.log(rel.d_ref) + rel.k * (np.log(s) - math.log(rel.s_ref)), "ge_source")
 
 
 def ge_price(rel: IERelation, s):
     """General-equilibrium abstract price P(s) = k*(d_ref/s_ref)*(s/s_ref)**(k-1)."""
     s = positive(s, "s")
-    out = np.exp(
-        math.log(rel.k)
-        + math.log(rel.d_ref)
-        - math.log(rel.s_ref)
-        + (rel.k - 1.0) * (np.log(s) - math.log(rel.s_ref))
-    )
-    return scalar(out)
+    log_p = math.log(rel.k) + math.log(rel.d_ref) - math.log(rel.s_ref)
+    return from_log(log_p + (rel.k - 1.0) * (np.log(s) - math.log(rel.s_ref)), "ge_price")
 
 
 def demand_curve(rel: IERelation, d0: float, s):
@@ -91,9 +86,8 @@ def demand_curve(rel: IERelation, d0: float, s):
     """
     positive(d0, "d0")
     s = positive(s, "s")
-    price = np.exp(math.log(rel.k) + math.log(d0) - np.log(s))
-    delta_d = rel.k * d0 * (np.log(s) - math.log(rel.s_ref))
-    return scalar(price), scalar(delta_d)
+    price = from_log(math.log(rel.k) + math.log(d0) - np.log(s), "demand_curve")
+    return price, scalar(rel.k * d0 * (np.log(s) - math.log(rel.s_ref)))
 
 
 def supply_curve(rel: IERelation, s0: float, d):
@@ -104,9 +98,8 @@ def supply_curve(rel: IERelation, s0: float, d):
     """
     positive(s0, "s0")
     d = positive(d, "d")
-    price = np.exp(math.log(rel.k) + np.log(d) - math.log(s0))
-    delta_s = (s0 / rel.k) * (np.log(d) - math.log(rel.d_ref))
-    return scalar(price), scalar(delta_s)
+    price = from_log(math.log(rel.k) + np.log(d) - math.log(s0), "supply_curve")
+    return price, scalar((s0 / rel.k) * (np.log(d) - math.log(rel.d_ref)))
 
 
 @dataclass(frozen=True)

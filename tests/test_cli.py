@@ -782,3 +782,78 @@ class TestTraceContract:
         assert [name for name in self.SPANS if not counts[name]] == []
         # two series per eval model and three, five and three per fit
         assert counts["timeseries.load_csv"] == counts["timeseries.interp_linear"] == 21
+
+
+def adas_argv(*values):
+    """`eval adas` with --n0, --s0, --k-a, --n-ref and --s-ref set to values."""
+    flags = ("--n0", "--s0", "--k-a", "--n-ref", "--s-ref")
+    return ["eval", "adas", *[item for pair in zip(flags, values) for item in pair]]
+
+
+class TestFloatRange:
+    """Closed forms past the float range end in one typed error line, and a
+    crossing that is in range although its parameter products are not
+    is printed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*adas_argv("1e300", "1e-300", "1e-300", "1", "1"), "--equilibrium"],
+            [*adas_argv("1", "1", "1", "1", "1"), "--grid=-1e6:1e6:2"],
+        ],
+        ids=["adas-equilibrium", "adas-sweep"],
+    )
+    def test_exits_3_with_one_line(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("infoeq: error: adas_") and err.count("\n") == 1
+        assert "exceeds the float range" in err
+
+    def test_islm_crossing_in_range(self, capsys):
+        argv = ["eval", "islm", "--n0", "1", "--m-ref", "1e-300", "--s-ref", "1", "--k-p", "1e-300",
+                "--k-s", "1", "--k-i", "1", "--equilibrium"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "")
+        header, rows = parse_table(out)
+        assert header == ["delta_n", "rate"]
+        assert rows[0, 0] == -1.0
+        assert rows[0, 1] == pytest.approx(np.e, rel=1e-9)
+
+
+class TestSizeLimit:
+    """Sizes over cli.MAX_CELLS exit 3 before anything is allocated (the
+    limit is lowered here so that no test allocates near the real one)."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CELLS", 100)
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            ([*adas_argv("1", "1", "1", "1", "1"), "--grid=0:1:101"], "grid count"),
+            (["ensemble", "--m-grid", "1:10:101"], "grid count"),
+            (["ensemble", "--runs", "11", "--m-grid", "1:10:10"], "--runs x grid"),
+            (["ensemble", "--runs", "2", "--n0", "51", "--m-grid", "1:10:10"], "--runs x --n0 draws"),
+            (["fluctuation", "missing.csv", "--bins", "101"], "--bins"),
+        ],
+        ids=["eval-grid", "m-grid", "runs-x-grid", "draws", "bins"],
+    )
+    def test_over_the_limit_exits_3(self, capsys, argv, what):
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"infoeq: error: {what} asks for ") and err.endswith("over the limit of 100\n")
+
+    def test_at_the_limit_runs(self, capsys):
+        argv = ["ensemble", "--runs", "10", "--n0", "10", "--m-grid", "1:10:10"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 101
+        code, out, err = run_main(capsys, [*adas_argv("1", "1", "1", "1", "1"), "--grid=0:1:100"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 101
+
+
+def test_only_a_fit_report_exits_4():
+    # fit's exit 4 comes from FitResult.converged; no exception maps to it
+    assert [code for _, code in cli.EXIT_CODES] == [2, 2, 3]
