@@ -2,8 +2,9 @@
 
 Arguments must be finite, and most must be positive; a 0-d input gives
 a Python float back and an array input gives an array back. A result
-evaluated from its log is checked against the float range before the
-exp. Each rule is written here once.
+evaluated from its log, a product from the sum of its factors' logs, is
+checked against the float range before the exp. Each rule is written
+here once.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ def from_log(log_value, label: str):
     if not ok.all():
         raise DomainError(f"{label}: exp({float(arr[~ok][0])!r}) exceeds the float range")
     return scalar(np.exp(arr))
+
+
+def product(label: str, *factors, log_scale=0.0):
+    """exp(log_scale) times the product of finite factors (a float if 0-d),
+    as a sign times from_log of the sum of their logs, so that no partial
+    product over- or underflows; a factor of 0 gives 0."""
+    with np.errstate(divide="ignore"):
+        log_abs = sum((np.log(np.abs(f)) for f in factors), log_scale)
+    return scalar(math.prod(np.sign(f) for f in factors) * from_log(log_abs, label))
 
 
 def fields(obj, *labels: str, check=positive) -> None:

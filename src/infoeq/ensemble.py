@@ -171,7 +171,7 @@ class MonteCarloResult:
 def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     """Run the ensemble Monte Carlo described by config.
 
-    Runs are evaluated together in bounded blocks of (runs, m values,
+    Runs are drawn and evaluated in bounded blocks of (runs, m values,
     markets), so temporary memory stays fixed whatever the run count or
     grid size. Each block repeats the arithmetic of the scalar functions
     in the same order, and its sums reduce over the contiguous market
@@ -180,11 +180,6 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     """
     grid = config.m_grid
     runs, n0 = int(config.runs), int(config.n0)
-    draws = np.empty((runs, n0))
-    for run in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(run,)))
-        draws[run] = rng.normal(config.a_mean, config.a_sd, n0)
-    finite(draws, "index draws")
     # math.log as in _weights: np.log may differ from it in the last bit
     neg_log_m = np.array([-math.log(m) for m in grid.tolist()])
     cols = min(grid.size, max(1, _BLOCK // n0))
@@ -193,7 +188,11 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     out_n = np.empty_like(out_a)
     out_p = np.empty_like(out_a)
     for r in range(0, runs, rows):
-        a = draws[r : r + rows, None, :]
+        a = np.empty((min(rows, runs - r), 1, n0))
+        for run in range(r, r + len(a)):  # each run's draws from its own spawned seed
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(run,)))
+            a[run - r, 0] = rng.normal(config.a_mean, config.a_sd, n0)
+        finite(a, "index draws")
         sum_a = a.sum(axis=-1)
         for c in range(0, grid.size, cols):
             block = (slice(r, r + rows), slice(c, c + cols))

@@ -2,10 +2,11 @@
 
 All three models are linear in logs once the slowly varying index is
 fixed, so the interest rate and Cobb-Douglas fits are exact linear least
-squares over their boxes in transformed parameters. The price level is
-separable (variable projection, Golub & Pereyra, SIAM J. Numer. Anal.
-10(2), 1973): `minimize` searches the one scale c = gamma*m0, and at each
-c an exact two-variable solve gives (alpha, m0).
+squares over their boxes in transformed parameters, each solved as a
+least-distance problem on the design's triangular factor. The price
+level is separable (variable projection, Golub & Pereyra, SIAM J.
+Numer. Anal. 10(2), 1973): `minimize` searches the one scale c =
+gamma*m0, and at each c an exact two-variable solve gives (alpha, m0).
 
 `minimize` is Powell's direction-set search (Comput. J. 7, 1964): cyclic
 line minimizations along a direction set that starts as the coordinate
@@ -263,52 +264,39 @@ def minimize(problem: FitProblem) -> FitResult:
     )
 
 
-def _full_rank(r, rows) -> bool:
-    """Whether the matrix with `rows` rows and QR factor r has full column
-    rank by matrix_rank's rule; r has its singular values in a small SVD."""
-    s = np.linalg.svd(r, compute_uv=False)
-    return bool(s.size == r.shape[1] and s[-1] > s[0] * max(rows, r.shape[1]) * np.finfo(float).eps)
-
-
 def _lsq(design, target, g, h) -> np.ndarray:
-    """Exact minimiser b of |design @ b - target|**2 subject to g @ b <= h.
+    """Exact minimiser x of |design @ x - target|**2 subject to g @ x <= h.
 
     Rows with a non-finite entry come from a bound of 0 or inf and
-    constrain nothing, so they are dropped. The objective is strictly
-    convex, so its constrained minimiser is the best feasible solution of
-    the equality-constrained problems on every set of at most n linearly
-    independent rows: for n = 3 unknowns and a box, at most 42 solves.
-    Each is solved in the null space of its rows on the triangular factor
-    of design, which keeps the conditioning of design itself.
+    constrain nothing, so they are dropped. With design = QR and b the
+    unconstrained minimiser, y = R(x - b) leaves the least-distance problem
+    min |y|**2 subject to A y <= c, A = g R^-1, c = h - g b (Lawson & Hanson
+    1974, ch. 23). Its solution is the minimum-norm solution on its active
+    rows, hence the feasible one of least |y| among those on all sets of at
+    most n rows, one batched pinv per set size. No set needs a rank test: a
+    dependent set's point, when feasible, cannot beat the optimum.
     """
     n = design.shape[1]
     q, r = np.linalg.qr(design)
-    if not _full_rank(r, design.shape[0]):
+    s = np.linalg.svd(r, compute_uv=False)  # design's singular values, tested by matrix_rank's rule
+    if s.size < n or not s[-1] > s[0] * max(design.shape) * np.finfo(float).eps:
         raise RankDeficient("constant or collinear regressors leave the parameters unidentified")
-    z = q.T @ target
     keep = np.all(np.isfinite(g), axis=1) & np.isfinite(h)
     g, h = g[keep], h[keep]
     slack = 1e-10 * (1.0 + np.abs(h))
-    b = np.linalg.solve(r, z)
+    b = np.linalg.solve(r, q.T @ target)
     if np.all(g @ b <= h + slack):
         return b  # the unconstrained minimiser is feasible
+    r_inv = np.linalg.inv(r)
+    a, c = g @ r_inv, h - g @ b
     best, best_f = None, math.inf
-    for size in range(1, n + 1):
-        for rows in itertools.combinations(range(h.size), size):
-            ga, ha = g[list(rows)], h[list(rows)]
-            # b = p + basis @ w, where ga @ p = ha and ga @ basis = 0
-            qg, rg = np.linalg.qr(ga.T, mode="complete")
-            if not _full_rank(rg, n):
-                continue
-            p = qg[:, :size] @ np.linalg.solve(rg[:size].T, ha)
-            basis = qg[:, size:]
-            w = np.linalg.lstsq(r @ basis, z - r @ p, rcond=None)[0]
-            b = p + basis @ w
-            if np.any(g @ b > h + slack):
-                continue
-            e = r @ b - z
-            if e @ e < best_f:
-                best, best_f = b, e @ e
+    for size in range(1, min(n, h.size) + 1):
+        rows = np.array(list(itertools.combinations(range(h.size), size)))
+        y = (np.linalg.pinv(a[rows]) @ c[rows, None])[..., 0]
+        x = b + y @ r_inv.T
+        f = np.where(np.all(x @ g.T <= h + slack, axis=1), np.sum(y * y, axis=1), math.inf)
+        if f.min() < best_f:  # argmin takes the first of a tie, as combinations orders the sets
+            best, best_f = x[f.argmin()], f.min()
     return best
 
 

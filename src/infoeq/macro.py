@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import LOG_MAX, fields, finite, from_log, positive, scalar
+from ._checks import LOG_MAX, fields, finite, from_log, positive, product, scalar
 from .errors import DegenerateEquilibrium, DomainError, ModelDomainError
 from .relations import IERelation, ge_price
 from .timeseries import TimeSeries, interp_linear, log_growth
@@ -143,12 +143,9 @@ def k_index_gradient(n, m, params: PriceLevelParams):
     Both vanish as n and m grow, which is what makes k slowly varying.
     """
     log_n = _log_ratio(n, params, "n")
-    log_m = _log_ratio(m, params, "m")
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=float)
-    dk_dn = 1.0 / (n * log_m)
-    dk_dm = -log_n / (m * log_m**2)
-    return scalar(dk_dn), scalar(dk_dm)
+    log_log_m = np.log(_log_ratio(m, params, "m"))
+    dk_dn = from_log(-np.log(n) - log_log_m, "k_index_gradient")
+    return dk_dn, -from_log(np.log(log_n) - np.log(m) - 2.0 * log_log_m, "k_index_gradient")
 
 
 def price_level_at_index(k, m, alpha: float, m0: float):
@@ -192,7 +189,7 @@ def growth_relations(k, m_growth):
     """
     k = finite(k, "k", ModelDomainError)
     m_growth = finite(m_growth, "m_growth", ModelDomainError)
-    return scalar((k - 1.0) * m_growth), scalar(k * m_growth)
+    return product("growth_relations", k - 1.0, m_growth), product("growth_relations", k, m_growth)
 
 
 def interest_rate(n, m, params: InterestParams):
@@ -472,10 +469,13 @@ def islm_equilibrium(
     log_n0 = math.log(n0)
     is_curve = _demand(log_n0, k_s, s_ref)
 
-    def gap(u):  # log LM - log IS, increasing in u; NaN where both are -inf
+    def gap(u):  # log LM - log IS, increasing in u
         with np.errstate(over="ignore", invalid="ignore"):  # e**u saturates far out in the bracket
-            x = n0 * np.expm1(u) - is_shift
-            return _at(_demand(log_n0 + u, k_p, m_ref), delta_m) - _at(is_curve, x)
+            lm, x = _demand(log_n0 + u, k_p, m_ref), n0 * np.expm1(u) - is_shift
+            out = _at(lm, delta_m) - _at(is_curve, x)
+            if np.isnan(out):  # both slope terms overflow alike: the larger log decides
+                out = np.sign(delta_m) * (np.log(abs(x)) + is_curve[1] - math.log(abs(delta_m)) - lm[1])
+            return out
 
     u = _bisect_root(gap, 0.0, tol=tol)
     # n0*expm1(u) keeps full precision near u = 0; far out, n0*e**u alone may be in range

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import fields, finite, from_log, positive, scalar
+from ._checks import fields, finite, from_log, positive, product, scalar
 from .errors import DomainError
 
 __all__ = [
@@ -86,8 +86,9 @@ def demand_curve(rel: IERelation, d0: float, s):
     """
     positive(d0, "d0")
     s = positive(s, "s")
-    price = from_log(math.log(rel.k) + math.log(d0) - np.log(s), "demand_curve")
-    return price, scalar(rel.k * d0 * (np.log(s) - math.log(rel.s_ref)))
+    log_kd = math.log(rel.k) + math.log(d0)
+    price = from_log(log_kd - np.log(s), "demand_curve")
+    return price, product("demand_curve", np.log(s) - math.log(rel.s_ref), log_scale=log_kd)
 
 
 def supply_curve(rel: IERelation, s0: float, d):
@@ -99,7 +100,8 @@ def supply_curve(rel: IERelation, s0: float, d):
     positive(s0, "s0")
     d = positive(d, "d")
     price = from_log(math.log(rel.k) + np.log(d) - math.log(s0), "supply_curve")
-    return price, scalar((s0 / rel.k) * (np.log(d) - math.log(rel.d_ref)))
+    log_scale = math.log(s0) - math.log(rel.k)
+    return price, product("supply_curve", np.log(d) - math.log(rel.d_ref), log_scale=log_scale)
 
 
 @dataclass(frozen=True)

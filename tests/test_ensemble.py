@@ -247,6 +247,22 @@ class TestMonteCarloMatchesScalarOracle:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_draws_do_not_grow_with_the_run_count(self):
+        # 2,000 runs of 500 draws hold 8 MB at once if drawn before the blocks
+        config = MonteCarloConfig(n0=500, runs=2000, m_grid=np.array([10.0]), seed=2)
+        tracemalloc.start()
+        try:
+            monte_carlo(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_non_finite_draws_raise(self):
+        config = MonteCarloConfig(n0=500, runs=200, a_sd=1e308, m_grid=np.array([10.0]), seed=0)
+        with pytest.raises(DomainError, match="index draws must be finite"):
+            monte_carlo(config)
+
 
 PARAMS = EntropyParams(k=1.6, gamma=5.93e-4, m0=603.8)
 SCALE = PARAMS.gamma * PARAMS.m0

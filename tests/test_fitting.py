@@ -456,6 +456,50 @@ def test_lsq_rank_check_agrees_with_matrix_rank(name):
     assert deficient != full
 
 
+def lsq_problem(n, rows, log_scales, seed, general):
+    """A random design with column scales 10**log_scales, its target, and
+    constraints (g, h): a box around a point away from the unconstrained
+    optimum with some bounds infinite, or general rows that point satisfies."""
+    rng = np.random.default_rng(seed)
+    design = rng.normal(size=(rows, n)) * 10.0 ** np.asarray(log_scales[:n])
+    target = rng.normal(size=rows) * 10.0 ** rng.uniform(-2.0, 2.0)
+    spread = np.linalg.norm(target) / np.linalg.norm(design, axis=0)  # the natural size of each parameter
+    centre = np.linalg.lstsq(design, target, rcond=None)[0] + 2.0 * spread * rng.normal(size=n)
+    if general:
+        g = rng.normal(size=(int(rng.integers(1, 7)), n)) / spread
+        return design, target, g, g @ centre + rng.uniform(0.0, 1.0, len(g)), None
+    lower = np.where(rng.random(n) < 0.25, -np.inf, centre - spread * rng.uniform(0.1, 1.0, n))
+    upper = np.where(rng.random(n) < 0.25, np.inf, centre + spread * rng.uniform(0.1, 1.0, n))
+    return design, target, np.vstack([-np.eye(n), np.eye(n)]), np.concatenate([-lower, upper]), centre
+
+
+def test_lsq_property_kkt_and_no_worse_than_search():
+    """On random designs and boxes or rows, _lsq meets the KKT certificate,
+    and on boxes its f is no worse than the direction-set search's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3),
+        extra=st.integers(1, 37),
+        log_scales=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        general=st.booleans(),
+    )
+    def check(n, extra, log_scales, seed, general):
+        design, target, g, h, centre = lsq_problem(n, n + extra, log_scales, seed, general)
+        b = _lsq(design, target, g, h)
+        assert_kkt(design, target, g, h, b)
+        if centre is not None:
+            lower, upper = -h[:n], h[n:]
+            f = ssr(design @ b - target)
+            f_search = search_f(lambda x: ssr(design @ x - target), centre, lower, upper)
+            assert f <= f_search * (1.0 + 1e-8)
+
+    check()
+
+
 def noisy(v, rng, sd=0.01):
     return v * np.exp(sd * rng.standard_normal(v.size))
 

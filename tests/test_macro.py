@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -504,3 +505,48 @@ class TestADASClosedForm:
 
         x_star, _ = adas_equilibrium(**ADAS, supply_shift=shift)
         assert x_star == pytest.approx(_bisect_root(gap, 0.0, tol=1e-10), rel=1e-10)
+
+
+class TestProductsAtTheFloatRange:
+    """Products that are not exponentials are formed from their logs: beyond
+    the float range a DomainError names the function, and no warning leaks."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("supply_curve", lambda: supply_curve(IERelation(1e-300, 1.0, 1.0), 1e300, 2.0)),
+            ("growth_relations", lambda: growth_relations(1e300, 1e300)),
+            ("k_index_gradient",
+             lambda: k_index_gradient(1e300, 1.0000000000001e-300, PriceLevelParams(1.0, 1e-300, 1.0))),
+        ],
+    )
+    def test_beyond_the_range_names_the_function(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            call()
+
+    def test_an_overflowing_scale_times_a_zero_log_is_zero(self):
+        price, shift = demand_curve(IERelation(1e300, 1.0, 1e300), 1e300, 1e300)
+        assert math.isfinite(price)
+        assert shift == 0.0
+
+    def test_an_overflowing_scale_times_a_small_log_is_returned(self):
+        # k*d0 and s0/k are 1e310, log(s/s_ref) about 1e-12 and log(d/d_ref) 2**-52
+        s = 1e5 * (1.0 + 1e-12)
+        _, shift = demand_curve(IERelation(1e300, 1.0, 1e5), 1e10, s)
+        assert shift == pytest.approx(1e300 * (math.log(s) - math.log(1e5)) * 1e10, rel=1e-13)
+        assert 1e297 < shift < 1e299
+        _, shift = supply_curve(IERelation(1e-300, 1.0, 1.0), 1e10, 1.0 + 2.0**-52)
+        assert shift == pytest.approx(1e300 * 2.0**-52 * 1e10, rel=1e-13)
+
+    def test_islm_crossing_where_both_curves_overflow(self):
+        # near the crossing both slope terms exceed the float range, so their
+        # logs are compared; x* = sqrt(1e-17) to an mpmath bisection at 60 digits
+        x_star, i_star = islm_equilibrium(1e-155, 1.0, 1.0, 1.0, 1e162, 1.0, 1e300, 0.0)
+        assert x_star == pytest.approx(3.162277660168379e-9, rel=1e-9)
+        assert i_star == 0.0

@@ -278,6 +278,29 @@ def test_wide_arguments_give_finite_values_or_a_typed_error(name, data):
     assert np.all(np.isfinite(_values(out)))
 
 
+# the products that are not exponentials, with every argument over the
+# whole range (the test above keeps k*d0 and s0/k below 1e300)
+WIDE_PRODUCTS = {
+    "demand_curve": lambda d: demand_curve(IERelation(*d.pn(3)), d.p(), d.ps()),
+    "supply_curve": lambda d: supply_curve(IERelation(*d.pn(3)), d.p(), d.ps()),
+    "growth_relations": lambda d: growth_relations(d.xs(), d.x()),
+    "k_index_gradient": lambda d: k_index_gradient(d.ps(), d.p(), PriceLevelParams(*d.pn(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PRODUCTS))
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_wide_products_give_finite_values_or_a_typed_error(name, data):
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        try:
+            out = WIDE_PRODUCTS[name](Draw(data))
+        except InfoEqError:
+            return
+    assert np.all(np.isfinite(_values(out)))
+
+
 # public names of relations and macro that are not exp-based closed forms
 NOT_EXP_BASED = {
     **dict.fromkeys(
