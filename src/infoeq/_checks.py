@@ -9,6 +9,8 @@ here once.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import DomainError
 
 LOG_MAX = math.log(np.finfo(float).max)
+LOG_TINY = math.log(np.finfo(float).tiny)  # of the smallest normal float
 
 
 def scalar(out):
@@ -53,13 +56,26 @@ def from_log(log_value, label: str):
     return scalar(np.exp(arr))
 
 
-def product(label: str, *factors, log_scale=0.0):
-    """exp(log_scale) times the product of finite factors (a float if 0-d),
-    as a sign times from_log of the sum of their logs, so that no partial
-    product over- or underflows; a factor of 0 gives 0."""
+def product(label: str, *factors, divisors=(), log_scale=0.0):
+    """exp(log_scale) times the product of finite factors over the product
+    of finite nonzero divisors (a float if 0-d); raises DomainError naming
+    label where that exceeds the float range. A factor of 0 gives 0.
+
+    It is a sign times from_log of the sum of the logs, so that nothing
+    over- or underflows on the way. Without log_scale, where the quotient
+    and every partial product of the factors and of the divisors lie in the
+    normal range, it is (f1*f2*...)/(d1*d2*...) rounded as written."""
     with np.errstate(divide="ignore"):
-        log_abs = sum((np.log(np.abs(f)) for f in factors), log_scale)
-    return scalar(math.prod(np.sign(f) for f in factors) * from_log(log_abs, label))
+        num = list(itertools.accumulate(np.log(np.abs(f)) for f in factors))
+        den = list(itertools.accumulate(np.log(np.abs(d)) for d in divisors)) or [0.0]
+    log_abs = num[-1] - den[-1] + log_scale
+    checked = math.prod(np.sign(v) for v in (*factors, *divisors)) * from_log(log_abs, label)
+    if log_scale != 0.0:
+        return scalar(checked)
+    normal = functools.reduce(np.logical_and, [(LOG_TINY < v) & (v < LOG_MAX) for v in (*num, *den, log_abs)])
+    with np.errstate(all="ignore"):
+        direct = np.divide(functools.reduce(np.multiply, factors), functools.reduce(np.multiply, divisors, 1.0))
+    return scalar(np.where(normal, direct, checked))
 
 
 def fields(obj, *labels: str, check=positive) -> None:

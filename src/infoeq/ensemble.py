@@ -278,7 +278,7 @@ class FluctuationResult:
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_left + self.bin_right)
+        return 0.5 * self.bin_left + 0.5 * self.bin_right  # no overflow near the float maximum
 
 
 def fluctuation_comparison(samples, bins: int = 30) -> FluctuationResult:
@@ -287,8 +287,10 @@ def fluctuation_comparison(samples, bins: int = 30) -> FluctuationResult:
     The relation P(+dn)/P(-dn) = e**dn implies a tail curve proportional
     to e**center; it is scaled so the bins with positive centers carry
     exactly the measured positive-side count (total count if no bin
-    center is positive). Deterministic: identical inputs give identical
-    outputs bit-for-bit.
+    center is positive). The scaling is done in log space, as that count
+    times exp(center - logsumexp(those centers)), so the curve is finite
+    however large the centers. Deterministic: identical inputs give
+    identical outputs bit-for-bit.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -299,16 +301,14 @@ def fluctuation_comparison(samples, bins: int = 30) -> FluctuationResult:
         raise InsufficientData(f"need at least 30 samples, got {samples.size}")
     if int(bins) < 1:
         raise DomainError("bins must be at least 1")
+    if not math.isfinite(float(samples.max()) - float(samples.min())):
+        raise DomainError("samples must span less than the float range")
     count, edges = np.histogram(samples, bins=int(bins))
     count = count.astype(float)
     left, right = edges[:-1], edges[1:]
-    centers = 0.5 * (left + right)
-    raw = np.exp(centers)
-    pos = centers > 0.0
-    if np.any(pos):
-        scale = float(np.sum(count[pos])) / float(np.sum(raw[pos]))
-    else:
-        scale = float(np.sum(count)) / float(np.sum(raw))
-    return FluctuationResult(
-        bin_left=left, bin_right=right, count=count, theory=scale * raw
-    )
+    centers = 0.5 * left + 0.5 * right
+    side = centers > 0.0 if np.any(centers > 0.0) else np.full(centers.shape, True)
+    top = float(np.max(centers[side]))
+    log_norm = top + math.log(float(np.sum(np.exp(centers[side] - top))))
+    theory = float(np.sum(count[side])) * np.exp(centers - log_norm)
+    return FluctuationResult(bin_left=left, bin_right=right, count=count, theory=theory)

@@ -13,10 +13,15 @@ line minimizations along a direction set that starts as the coordinate
 axes, with the largest-decrease direction replaced by the cycle's net
 displacement when that passes the standard acceptance test, and the set
 restarted to the axes every n**2 line searches. A line search brackets a
-minimum by unit probes and doubling, then runs Brent's golden section
-with parabolic steps (Algorithms for Minimization without Derivatives,
-1973, ch. 5). Box bounds clip the step interval, never a penalty, so
-model domain errors are unreachable during a search whose box is safe.
+minimum by probes of its direction's step scale and doubling, then runs
+Brent's golden section with parabolic steps (Algorithms for Minimization
+without Derivatives, 1973, ch. 5). Each direction slot keeps the size of
+the step its last line search took, never below tol, as Brent's praxis
+does (ibid., ch. 7): it starts at 1 in |x0|-scaled units, and the
+displacement's search starts from the displacement's length, so a cycle
+that only confirms a minimum probes within about tol of it. Box bounds
+clip the step interval, never a penalty, so model domain errors are
+unreachable during a search whose box is safe.
 
 Everything here is deterministic: the same problem yields the same
 FitResult bit-for-bit.
@@ -155,29 +160,30 @@ def _brent(g, a, b, x, gx, tol):
                 v, gv = u, gu
 
 
-def _line_min(f, x, d, fx, lo, hi, tol):
+def _line_min(f, x, d, fx, lo, hi, tol, step):
     """Minimize f along x + t*d inside the box. Never accepts an increase.
 
-    Probes t = 1 then -1 (clipped to the box) and doubles the first step
-    that goes downhill until f rises or the box ends; with no downhill
-    probe the probes bracket t = 0. Brent then searches the bracket."""
+    Probes t = step then -step (clipped to the box) and doubles the first
+    step that goes downhill until f rises or the box ends; with no downhill
+    probe the probes bracket t = 0. Brent then searches the bracket.
+    Returns the new point, f there and the step t taken (0 if none)."""
     on = d != 0.0
     with np.errstate(over="ignore"):  # a limit beyond the float range is none
         span = np.sort([(lo - x)[on] / d[on], (hi - x)[on] / d[on]], axis=0)
     t_lo, t_hi = float(span[0].max()), float(span[1].min())
     if not t_lo < t_hi:
-        return x, fx
+        return x, fx, 0.0
 
     def g(t):
         return f(x + t * d)
 
     t0, t1, g1 = 0.0, 0.0, fx
-    for t in (min(1.0, t_hi), max(-1.0, t_lo)):
+    for t in (min(step, t_hi), max(-step, t_lo)):
         if t != 0.0 and (gt := g(t)) < fx:
             t1, g1 = t, gt
             break
     if t1 == 0.0:
-        a, b = max(-1.0, t_lo), min(1.0, t_hi)
+        a, b = max(-step, t_lo), min(step, t_hi)
     else:
         t2 = min(max(2.0 * t1, t_lo), t_hi)
         while math.isfinite(t2) and t2 != t1 and (g2 := g(t2)) < g1:
@@ -185,7 +191,7 @@ def _line_min(f, x, d, fx, lo, hi, tol):
             t2 = min(max(2.0 * t1, t_lo), t_hi)
         a, b = sorted((t0, t2 if math.isfinite(t2) else t1))
     t, gt = _brent(g, a, b, t1, g1, tol)
-    return (x + t * d, gt) if gt < fx else (x, fx)
+    return (x + t * d, gt, t) if gt < fx else (x, fx, 0.0)
 
 
 def minimize(problem: FitProblem) -> FitResult:
@@ -203,6 +209,7 @@ def minimize(problem: FitProblem) -> FitResult:
     z = problem.x0 / scale
     fz = f(z)
     dirs = np.eye(n)
+    steps = [1.0] * n  # Python floats: numpy scalars would warn on overflow near the edge
     line_searches = 0
     quiet_cycles = 0
     tol = problem.tol
@@ -219,7 +226,8 @@ def minimize(problem: FitProblem) -> FitResult:
         biggest_drop, biggest_idx = 0.0, 0
         f_prev = f_old
         for i in range(n):
-            z, fz = _line_min(f, z, dirs[i], fz, lo, hi, tol)
+            z, fz, t = _line_min(f, z, dirs[i], fz, lo, hi, tol, steps[i])
+            steps[i] = max(abs(t), tol)
             drop = f_prev - fz
             f_prev = fz
             if drop > biggest_drop:
@@ -232,8 +240,10 @@ def minimize(problem: FitProblem) -> FitResult:
         if peak > 0.0:
             # scaled by a power of two, so exactly displacement / |displacement|
             # without the norm overflowing
-            unit = np.ldexp(displacement, -math.frexp(peak)[1])
-            unit /= np.linalg.norm(unit)
+            power = math.frexp(peak)[1]
+            unit = np.ldexp(displacement, -power)
+            length = float(np.linalg.norm(unit))
+            unit /= length
             extrapolated = np.clip(2.0 * z - z_old, lo, hi)
             f_ext = f(extrapolated)
             if f_ext < f_old:
@@ -243,7 +253,8 @@ def minimize(problem: FitProblem) -> FitResult:
                 )
                 if test < 0.0:
                     dirs[biggest_idx] = unit
-                    z, fz = _line_min(f, z, unit, fz, lo, hi, tol)
+                    z, fz, t = _line_min(f, z, unit, fz, lo, hi, tol, length * 2.0**power)
+                    steps[biggest_idx] = max(abs(t), tol)
                     line_searches += 1
         if np.any(np.abs(z) >= reach):
             break

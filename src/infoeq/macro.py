@@ -491,7 +491,7 @@ def money_mediation(k: float, k_s: float) -> float:
     """
     positive(k, "k")
     positive(k_s, "k_s")
-    return k / k_s
+    return product("money_mediation", k, divisors=(k_s,))
 
 
 def output_investment_relation(

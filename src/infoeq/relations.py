@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import fields, finite, from_log, positive, product, scalar
+from ._checks import fields, finite, from_log, positive, product
 from .errors import DomainError
 
 __all__ = [
@@ -129,11 +129,14 @@ def linearize(rel: IERelation, d0: float, s0: float) -> LinearizedCurves:
     """Expand both partial-equilibrium curves to first order around the refs."""
     positive(d0, "d0")
     positive(s0, "s0")
+    alpha = float(rel.d_ref) + product("linearize", rel.k, d0)
+    if np.any(alpha == math.inf):
+        raise DomainError("linearize: d_ref + k*d0 exceeds the float range")
     return LinearizedCurves(
-        alpha=rel.d_ref + rel.k * d0,
+        alpha=alpha,
         beta=rel.s_ref,
-        gamma=rel.s_ref - s0 / rel.k,
-        delta=s0**2 / (rel.k**2 * rel.d_ref),
+        gamma=rel.s_ref - product("linearize", s0, divisors=(rel.k,)),
+        delta=product("linearize", s0, s0, divisors=(rel.k, rel.k, rel.d_ref)),
     )
 
 
@@ -144,19 +147,25 @@ def elasticities(rel: IERelation, d0: float, s0: float) -> tuple[float, float]:
     """
     positive(d0, "d0")
     positive(s0, "s0")
-    return (-rel.k * d0 / rel.d_ref, s0 / (rel.k * rel.s_ref))
+    return (
+        product("elasticities", -rel.k, d0, divisors=(rel.d_ref,)),
+        product("elasticities", s0, divisors=(rel.k, rel.s_ref)),
+    )
 
 
 def constant_price(rel: IERelation, d0: float, s0: float) -> float:
     """Price k*d0/s0 when both sides adjust slowly (ratio of the deltas)."""
     positive(d0, "d0")
     positive(s0, "s0")
-    return rel.k * d0 / s0
+    return product("constant_price", rel.k, d0, divisors=(s0,))
 
 
 def constant_price_delta(rel: IERelation, d0: float, s0: float, delta_s):
-    """Source shift matching a destination shift in the both-slow regime."""
-    return scalar(constant_price(rel, d0, s0) * finite(delta_s, "delta_s"))
+    """Source shift k*d0*delta_s/s0 matching a destination shift in the
+    both-slow regime."""
+    positive(d0, "d0")
+    positive(s0, "s0")
+    return product("constant_price_delta", rel.k, d0, finite(delta_s, "delta_s"), divisors=(s0,))
 
 
 def invert(rel: IERelation) -> IERelation:

@@ -463,6 +463,19 @@ class TestFluctuation:
         out = run_cli("fluctuation", str(tmp_path / "short.csv"))
         assert out.returncode == 3
 
+    def test_changes_near_the_float_maximum_give_a_finite_curve(self, tmp_path):
+        # 60 yearly values rising in steps of about 1e306 to 5.9e307: e**center
+        # overflows, so the curve is normalised in log space
+        rng = np.random.default_rng(5)
+        t = 1955.0 + np.arange(60.0)
+        v = np.linspace(0.0, 5.9e307, 60) + rng.uniform(-3e305, 3e305, 60)
+        save_csv(TimeSeries(t, v), tmp_path / "big.csv")
+        out = run_cli("fluctuation", str(tmp_path / "big.csv"), "--mode", "levels", "--bins", "5")
+        assert (out.returncode, out.stderr) == (0, "")
+        header, rows = parse_table(out.stdout)
+        assert rows.shape == (5, 4) and np.all(np.isfinite(rows))
+        assert "nan" not in out.stdout
+
 
 class TestParserReuse:
     """`main` parses every call with one parser built once per process."""

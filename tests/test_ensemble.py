@@ -367,3 +367,15 @@ class TestFluctuationComparison:
             fluctuation_comparison(np.full(40, np.nan))
         with pytest.raises(DomainError):
             fluctuation_comparison(self.samples(), bins=0)
+
+    def test_samples_spanning_the_float_range_are_a_domain_error(self):
+        s = 1.7e308 * np.linspace(-1.0, 1.0, 40)
+        with pytest.raises(DomainError, match="span"):
+            fluctuation_comparison(s, bins=5)
+
+    def test_centers_near_the_float_maximum_give_a_finite_curve(self):
+        s = np.linspace(1.0e308, 1.7e308, 40)
+        with np.errstate(all="raise", under="ignore"):
+            out = fluctuation_comparison(s, bins=5)
+        assert np.all(np.isfinite(out.centers)) and np.all(np.isfinite(out.theory))
+        assert np.sum(out.theory) == pytest.approx(40.0, rel=1e-12)

@@ -242,6 +242,49 @@ class TestPriceLevelProfile:
         assert result.f_star <= grid_min * (1.0 + 1e-12)
 
 
+def jittered_price_level_fits(count, seed=2024):
+    """(grid, x0) of bundled-data price-level fits as the calibrate benchmark
+    draws them: grids near 1960-2014 with 50-60 points, x0 within e**+-0.1 of
+    the demos/08_cli_tour.sh start."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        start, stop = round(rng.uniform(1959.5, 1961.0), 3), round(rng.uniform(2013.0, 2015.5), 3)
+        grid = np.linspace(start, stop, int(rng.integers(50, 61)))
+        x0 = [round(v * math.exp(rng.uniform(-0.1, 0.1)), 6) for v in (78.0, 4.7e-4, 720.0)]
+        yield grid, x0
+
+
+def test_price_level_search_confirms_in_few_evaluations(monkeypatch):
+    # each line search starts from the step its direction last took, so the
+    # confirming cycles of the two-quiet-cycle rule probe near the minimum
+    # instead of re-bracketing from unit steps (median 55 at unit probes)
+    series = [bundled_series(name) for name in ("gdp", "mbcurrcir", "pcepilfe")]
+    searches = []
+
+    def counting(problem):
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            return problem.objective(x)
+
+        box = (problem.lower, problem.upper, problem.names, problem.tol, problem.max_iter)
+        result = minimize(FitProblem(objective, problem.x0, *box))
+        searches.append((problem, result, len(calls)))
+        return result
+
+    monkeypatch.setattr(fitting, "minimize", counting)
+    for grid, x0 in jittered_price_level_fits(120):
+        fit_price_level(*series, grid, x0)
+    assert len(searches) == 120
+    assert all(result.converged for _, result, _ in searches)
+    assert np.median([evals for _, _, evals in searches]) <= 42
+    for problem, result, _ in searches[:10]:
+        c_grid = np.geomspace(problem.lower[0], problem.upper[0], 400)
+        grid_min = min(problem.objective(np.array([c])) for c in c_grid)
+        assert result.f_star <= grid_min * (1.0 + 1e-12)
+
+
 def price_level_series(grid, params):
     u = grid - grid[0]
     n = TimeSeries(grid, 600.0 * np.exp(0.068 * u - 1.5e-4 * u**2))

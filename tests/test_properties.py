@@ -2,10 +2,13 @@
 per-point oracle (skipped without hypothesis)."""
 
 import dataclasses
+import datetime
 import math
+from fractions import Fraction
 import operator
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from infoeq import (  # noqa: E402
     CobbDouglasParams,
     CurveShift,
+    DomainError,
     IERelation,
     InfoEqError,
     InterestParams,
@@ -36,8 +40,10 @@ from infoeq import (  # noqa: E402
     avg_price,
     cobb_douglas,
     compose,
+    constant_price,
     constant_price_delta,
     demand_curve,
+    elasticities,
     ge_price,
     ge_source,
     growth_relations,
@@ -47,9 +53,12 @@ from infoeq import (  # noqa: E402
     islm_curves,
     islm_equilibrium,
     k_index,
+    load_csv,
     k_index_gradient,
+    linearize,
     log_growth,
     loess_smooth,
+    money_mediation,
     monte_carlo,
     ode_oracle,
     partition_fn,
@@ -63,6 +72,7 @@ from infoeq import (  # noqa: E402
     supply_curve,
 )
 from infoeq import macro as macro_module  # noqa: E402
+from infoeq import timeseries  # noqa: E402
 from infoeq import relations as relations_module  # noqa: E402
 from loess_oracle import LOESS_TOL, loess_oracle  # noqa: E402
 
@@ -301,6 +311,54 @@ def test_wide_products_give_finite_values_or_a_typed_error(name, data):
     assert np.all(np.isfinite(_values(out)))
 
 
+# the products and ratios of parameters, called on (k, d_ref, s_ref, d0, s0,
+# x) each over the whole range; beside each call, its outputs as exact sums
+# of exact terms
+WIDE_RATIOS = {
+    "linearize": (
+        lambda k, dr, sr, d0, s0, x: linearize(IERelation(k, dr, sr), d0, s0),
+        lambda k, dr, sr, d0, s0, x: [(dr, k * d0), (sr,), (sr, -s0 / k), (s0**2 / (k**2 * dr),)],
+    ),
+    "elasticities": (
+        lambda k, dr, sr, d0, s0, x: elasticities(IERelation(k, dr, sr), d0, s0),
+        lambda k, dr, sr, d0, s0, x: [(-k * d0 / dr,), (s0 / (k * sr),)],
+    ),
+    "constant_price": (
+        lambda k, dr, sr, d0, s0, x: constant_price(IERelation(k, dr, sr), d0, s0),
+        lambda k, dr, sr, d0, s0, x: [(k * d0 / s0,)],
+    ),
+    "constant_price_delta": (
+        lambda k, dr, sr, d0, s0, x: constant_price_delta(IERelation(k, dr, sr), d0, s0, x),
+        lambda k, dr, sr, d0, s0, x: [(k * d0 * x / s0,)],
+    ),
+    "money_mediation": (
+        lambda k, dr, sr, d0, s0, x: money_mediation(k, dr),
+        lambda k, dr, sr, d0, s0, x: [(k / dr,)],
+    ),
+}
+FLOAT_MAX = Fraction(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_RATIOS))
+@settings(SETTINGS, max_examples=100)
+@given(args=st.tuples(WIDE, WIDE, WIDE, WIDE, WIDE, SIGNED))
+def test_wide_ratios_are_exact_to_rounding_or_name_the_function(name, args):
+    call, exact = WIDE_RATIOS[name]
+    outputs = exact(*map(Fraction, args))
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        try:
+            got = _values(call(*args))
+        except DomainError as err:
+            assert str(err).startswith(f"{name}: ")
+            assert max(abs(sum(terms)) for terms in outputs) > FLOAT_MAX * (1 - Fraction(1, 10**12))
+            return
+    assert np.all(np.isfinite(got))
+    for value, terms in zip(got, outputs):
+        scale = sum(abs(term) for term in terms)
+        assert abs(Fraction(value) - sum(terms)) <= scale / 10**12 + Fraction(2.0**-1022)
+
+
 # public names of relations and macro that are not exp-based closed forms
 NOT_EXP_BASED = {
     **dict.fromkeys(
@@ -356,3 +414,77 @@ def test_monte_carlo_equals_the_scalar_averages(n0, runs, a_sd, size, top, seed)
     assert np.array_equal(result.avg_a, expect[0])
     assert np.array_equal(result.avg_n, expect[1])
     assert np.array_equal(result.avg_price, expect[2])
+
+
+# load_csv's array path against its row parser, on date,value text that is
+# plain in a third of the files and perturbed now and then in the others
+PLAIN_DATES = st.dates(datetime.date(1900, 1, 1), datetime.date(2100, 12, 31)).map(datetime.date.isoformat)
+ODD_DATES = st.one_of(
+    st.dates(datetime.date(1, 1, 1), datetime.date(1899, 12, 31)).map(datetime.date.isoformat),
+    st.sampled_from(["0000-01-01", "2001-02-29", "2001-13-01", "2001-1-5", "20010105", "2001.5", "1999",
+                     "2001-01-01T00:00", " 2001-01-01", "", ".", "inf", "nan"]),
+)
+PLAIN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.decimals(-1000, 1000, places=3, allow_nan=False, allow_infinity=False).map(str),
+)
+ODD_VALUES = st.one_of(
+    st.integers(10**15, 10**400).map(str),
+    st.sampled_from([".", "", " 7", "7 ", "+5", "-.5", "5.", "1E5", "1e400", "-1e400", "1e-400", "-0", "inf",
+                     "-inf", "nan", "NaN", "Infinity", "1_000", "0x10", "1,5"]),
+)
+ODD_HEADERS = ["DATE,Value", "value,date", "date,value,note", " date , value ", '"date","value"',
+               "observation_date,value", "date;value", "", None]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of date,value rows. A third of the files are plain; in the others
+    about one draw in `rate` is perturbed: the header (or none), a date, a
+    value, a row's layout, the line ending or the end of the file."""
+    rate = draw(st.sampled_from([0, 0, 4, 16, 64, 64]))
+
+    def odd():
+        return rate > 0 and draw(st.integers(1, rate)) == 1
+
+    header = draw(st.sampled_from(ODD_HEADERS)) if odd() else "date,value"
+    lines = [] if header is None else [header]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(ODD_DATES if odd() else PLAIN_DATES), draw(ODD_VALUES if odd() else PLAIN_VALUES)]
+        if odd():
+            layout = draw(st.sampled_from(["extra column", "quoted", "blank line"]))
+            if layout == "extra column":
+                cells.append("x")
+            elif layout == "quoted":
+                cells = [f'"{cell}"' for cell in cells]
+            else:
+                lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\r\n", "\r"])) if odd() else "\n"
+    return end.join(lines) + (draw(st.sampled_from(["", end + end])) if odd() else end)
+
+
+def _load_outcome(load):
+    """A load's result down to the bit, or its exception's type, message and line."""
+    try:
+        ts = load()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ts.t.tobytes(), ts.v.tobytes()
+
+
+@settings(database=None, derandomize=True, deadline=200, max_examples=600)
+@given(text=csv_texts())
+def test_load_csv_matches_its_row_parser(text, tmp_path_factory):
+    fast = timeseries._iso_columns(text, "date", "value")
+    if fast is not None:
+        rows = timeseries._row_columns(text, "date", "value")
+        assert np.asarray(rows[0], dtype=float).tobytes() == fast[0].tobytes()
+        assert np.asarray(rows[1], dtype=float).tobytes() == fast[1].tobytes()
+    path = tmp_path_factory.getbasetemp() / "load_csv_property.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    got = _load_outcome(lambda: load_csv(path))
+    with mock.patch.object(timeseries, "_iso_columns", lambda *args: None):
+        assert got == _load_outcome(lambda: load_csv(path))

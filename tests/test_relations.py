@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from infoeq import (
     DomainError,
     IERelation,
+    LinearizedCurves,
     compose,
     constant_price,
     constant_price_delta,
@@ -151,6 +153,43 @@ class TestLinearize:
         e_d, e_s = elasticities(rel, d0=3.0, s0=2.0)
         assert e_d == pytest.approx(-1.7, rel=1e-15)
         assert e_s == pytest.approx(2.0 / (1.7 * 2.0), rel=1e-15)
+
+
+class TestRatiosAtTheFloatRange:
+    """Products and ratios of parameters beyond the float range raise a
+    DomainError naming the function, with no warning on the way; one whose
+    partial products leave the range but whose result does not is returned."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("linearize", lambda: linearize(IERelation(1e-300, 1.0, 1.0), 1.0, 1e300)),
+            ("constant_price", lambda: constant_price(IERelation(1e300, 1.0, 1.0), 1e300, 1.0)),
+            ("elasticities", lambda: elasticities(IERelation(1e300, 1e-300, 1.0), 1.0, 1.0)),
+            ("linearize", lambda: linearize(IERelation(1.0, 1e308, 1.0), 1e308, 1.0)),
+        ],
+    )
+    def test_beyond_the_range_names_the_function(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            call()
+
+    def test_partial_products_beyond_the_range(self):
+        assert constant_price(IERelation(1e300, 1.0, 1.0), 1e300, 1e300) == pytest.approx(1e300, rel=1e-13)
+        assert constant_price_delta(IERelation(1e-300, 1.0, 1.0), 1e-300, 1e-300, 2.0) == pytest.approx(
+            2e-300, rel=1e-13
+        )
+
+    def test_in_range_values_are_the_plain_expressions(self):
+        rel = IERelation(k=1.7, d_ref=3.0, s_ref=2.0)
+        lin = linearize(rel, d0=2.5, s0=1.8)
+        assert lin == LinearizedCurves(3.0 + 1.7 * 2.5, 2.0, 2.0 - 1.8 / 1.7, 1.8**2 / (1.7**2 * 3.0))
+        assert elasticities(rel, 2.5, 1.8) == (-1.7 * 2.5 / 3.0, 1.8 / (1.7 * 2.0))
 
 
 class TestInvert:
