@@ -82,11 +82,11 @@ def _parse_grid(spec: str, scale: str, parser: _Parser) -> np.ndarray:
     if count < 1:
         parser.error("grid count must be at least 1")
     _check_cells(count, "grid count")
-    if scale == "log":
-        if start <= 0.0 or stop <= 0.0:
-            parser.error("log grid endpoints must be positive")
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+    if scale == "log" and (start <= 0.0 or stop <= 0.0):
+        parser.error("log grid endpoints must be positive")
+    # an infinite endpoint gives non-finite points, which every command refuses
+    with np.errstate(invalid="ignore"):
+        return np.geomspace(start, stop, count) if scale == "log" else np.linspace(start, stop, count)
 
 
 def _require_grid(args, parser: _Parser) -> np.ndarray:

@@ -141,6 +141,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if int(self.n0) < 1 or int(self.runs) < 1:
             raise DomainError("n0 and runs must be at least 1")
+        if int(self.seed) < 0:
+            raise DomainError("seed must be non-negative")
         fields(self, "a_mean", "a_sd", check=finite)
         if self.a_sd < 0.0:
             raise DomainError("a_sd must be non-negative")
@@ -257,13 +259,18 @@ def entropy_delta(n, dn, params: EntropyParams) -> float:
 
 def series_changes(ts: TimeSeries, mode: str = "log_percent") -> np.ndarray:
     """Successive changes of a series: percent log differences (default)
-    or plain level differences."""
+    or plain level differences. DomainError where a level difference
+    exceeds the float range."""
     if mode == "log_percent":
         if np.any(ts.v <= 0.0):
             raise DomainError("log changes undefined for non-positive values")
         return 100.0 * np.diff(np.log(ts.v))
     if mode == "levels":
-        return np.diff(ts.v)
+        with np.errstate(over="ignore"):
+            changes = np.diff(ts.v)
+        if not np.isfinite(changes).all():
+            raise DomainError("series_changes: a level difference exceeds the float range")
+        return changes
     raise DomainError(f"unknown mode {mode!r}")
 
 

@@ -305,9 +305,12 @@ def _lsq(design, target, g, h) -> np.ndarray:
         rows = np.array(list(itertools.combinations(range(h.size), size)))
         y = (np.linalg.pinv(a[rows]) @ c[rows, None])[..., 0]
         x = b + y @ r_inv.T
-        f = np.where(np.all(x @ g.T <= h + slack, axis=1), np.sum(y * y, axis=1), math.inf)
+        with np.errstate(over="ignore"):  # |y|**2 beyond the float range is never the least
+            f = np.where(np.all(x @ g.T <= h + slack, axis=1), np.sum(y * y, axis=1), math.inf)
         if f.min() < best_f:  # argmin takes the first of a tie, as combinations orders the sets
             best, best_f = x[f.argmin()], f.min()
+    if best is None:
+        raise DomainError("no point of the box solves the least squares to working precision")
     return best
 
 

@@ -150,8 +150,10 @@ def load_csv(
     carry 1-based line numbers.
 
     A plain file (the header ``date_col,value_col``, then only
-    ``YYYY-MM-DD,number`` lines) is parsed as whole arrays; every other
-    file goes through the row parser, with the same result.
+    ``YYYY-MM-DD,number`` lines ending in LF or all in CRLF) is admitted
+    by a few byte-level checks over the whole body and parsed as whole
+    arrays; every other file goes through the row parser, with the same
+    result.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -173,11 +175,18 @@ def load_csv(
 # a column name that can be neither data nor whitespace-padded, so the
 # header line alone fixes the date column at 0 and the value column at 1
 _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# one data line; a body is checked a line at a time, so rejecting it
-# costs no more than accepting it and stops at the first bad line
-_ISO_LINE = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2},[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\r?"
-)
+_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+# the 11 bytes "YYYY-MM-DD," of a date times _YMD, less "0000-00-00,"
+# times _YMD, are its (year, month, day)
+_YMD = np.zeros((11, 3))
+_YMD[[0, 1, 2, 3, 5, 6, 8, 9], [0, 0, 0, 0, 1, 1, 2, 2]] = 1000, 100, 10, 1, 10, 1, 10, 1
+_YMD_ZERO = np.frombuffer(b"0000-00-00,", np.uint8) @ _YMD
+_LEAP = np.array([calendar.isleap(year) for year in range(10000)], dtype=np.int64)
+# [leap, month] -> days in the month, and before it; months 0 and 13-99 have none
+_MONTH_DAYS = np.zeros((2, 100), dtype=np.int64)
+_MONTH_DAYS[:, :13] = calendar.mdays
+_MONTH_DAYS[1, 2] = 29
+_DAYS_BEFORE = np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS
 
 
 def _iso_columns(text: str, date_col: str, value_col: str):
@@ -188,31 +197,37 @@ def _iso_columns(text: str, date_col: str, value_col: str):
     non-finite entry, any other layout) gets None.
     """
     head, _, body = text.partition("\n")
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline
     if not (
         _PLAIN_NAME.fullmatch(date_col)
         and _PLAIN_NAME.fullmatch(value_col)
         and date_col.lower() != value_col.lower()
         and head.strip().lower() == f"{date_col},{value_col}".lower()
-        and lines
-        and all(map(_ISO_LINE.fullmatch, lines))
+        and body.isascii()
     ):
         return None
-    cells = body.replace(",", "\n").split()
+    # the whole body at once (ASCII, so encode() cannot fail): with the
+    # bytes of numbers taken out, every line is a comma then LF, or every
+    # one a comma then CRLF; every date is "DDDD-DD-DD", D a digit
+    raw = body.encode() if body.endswith("\n") else body.encode() + b"\n"
+    rows = raw.count(b"\n")
+    rest = raw.translate(None, b"0123456789+-.eE")
+    if rest != b",\n" * rows and rest != b",\r\n" * rows:
+        return None
+    cells = raw.replace(b",", b"\n").splitlines()  # date, value, date, ...
+    dates = b",".join(cells[0::2]) + b","
+    if dates.translate(_TO_ZERO) != b"0000-00-00," * rows:
+        return None
+    y, m, d = (np.frombuffer(dates, np.uint8).reshape(rows, 11) @ _YMD - _YMD_ZERO).astype(np.int64).T
+    leap = _LEAP[y]
+    if not np.all((y > 0) & (d > 0) & (d <= _MONTH_DAYS[leap, m])):
+        return None
     try:
-        days = np.array(cells[0::2], dtype="datetime64[D]")
         v = np.array(cells[1::2], dtype=float)
     except ValueError:
         return None
-    years = days.astype("datetime64[Y]")
-    jan1 = years.astype("datetime64[D]")
-    year = years.astype(np.int64) + 1970
-    if year.min() < 1 or not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         return None
-    length = ((years + 1).astype("datetime64[D]") - jan1).astype(np.int64)
-    return year + (days - jan1).astype(np.int64) / length, v
+    return y + (_DAYS_BEFORE[leap, m] + d - 1) / (365 + leap), v
 
 
 def _row_columns(text: str, date_col: str, value_col: str) -> tuple[list, list]:
@@ -277,7 +292,9 @@ def interp_linear(ts: TimeSeries, t):
 
     Exact at the sample timestamps. Raises OutOfRange rather than
     extrapolating, and on a NaN time. Scalar in, scalar out; array in,
-    array out.
+    array out. Where the slope between two samples overflows, the value
+    is their weighted mean instead; DomainError if that rounds beyond
+    the float range.
     """
     t_arr = np.asarray(t, dtype=float)
     if ts.t.size < 2 and np.any(t_arr != ts.t[0]):
@@ -289,7 +306,14 @@ def interp_linear(ts: TimeSeries, t):
         raise OutOfRange(
             f"t={np.atleast_1d(bad)[0]} outside sampled range [{lo}, {hi}]"
         )
-    return scalar(np.interp(t_arr, ts.t, ts.v))
+    out = np.interp(t_arr, ts.t, ts.v)
+    if not np.isfinite(out).all():  # the slope overflowed
+        j = np.clip(np.searchsorted(ts.t, t_arr, side="right") - 1, 0, ts.t.size - 2)
+        w = (t_arr - ts.t[j]) / (ts.t[j + 1] - ts.t[j])
+        out = np.where(np.isfinite(out), out, (1.0 - w) * ts.v[j] + w * ts.v[j + 1])
+        if not np.isfinite(out).all():
+            raise DomainError("interp_linear: an interpolated value exceeds the float range")
+    return scalar(out)
 
 
 # float64 elements in one block of gathered windows (64 KiB); bounds the

@@ -1,6 +1,7 @@
 """The summary arithmetic of tools/bench_pairs.py on canned result lines.
 Nothing here runs the benchmark."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -104,3 +105,41 @@ def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_parent_iqr():
     small_gain = [p - 0.05 for p in parent]
     claim = bench_pairs.summarize(pairs(parent, small_gain), SPECS, claim="op_ms_p50")["claim"]
     assert claim["change_wins"] == 10 and not claim["holds"]
+
+
+def canned_output():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]
+    summary = bench_pairs.summarize(pairs(parent, [p - 1.0 for p in parent]), SPECS, claim="op_ms_p50")
+    revs = {"parent": {"rev": "abc1234", "commit": "abc1234" + "0" * 33},
+            "change": {"rev": "WORKTREE", "commit": "def5678" + "0" * 33}}
+    run = {"label": "claim", "revs": revs, "seeds": list(range(101, 111)), "seconds": 20.0,
+           "workloads": {"calibrate": {"end_to_end": summary}}}
+    return {"runs": [run]}
+
+
+def test_show_prints_one_table_per_run_and_workload():
+    lines = bench_pairs.show(canned_output()).splitlines()
+    assert lines[0] == "### claim: calibrate, end-to-end"
+    assert lines[2] == (
+        "parent abc1234 (abc123400000), change WORKTREE (def567800000); 10 pairs of 20 s, seeds 101-110; "
+        "failed ops 0/1000 parent, 0/1000 change; gate passed: True"
+    )
+    assert lines[4] == "| metric | parent median [q1, q3] | change median | change | wins | bound | claim |"
+    assert lines[6] == (
+        "| op_ms_p50 (ms) | 10 [9.925, 10.07] | 9 | -10.0% | 10/10 | within 25% "
+        "| holds: gain 1 vs parent IQR 0.15 |"
+    )
+    # ops/s = 1000/op_ms, higher is better; no claim on it
+    assert lines[7].startswith("| ops_per_s (1/s) | 100 [") and lines[7].endswith("| 10/10 | within 25% |  |")
+    assert len(lines) == 8
+
+
+def test_show_marks_a_bound_crossed_and_a_claim_that_fails(capsys, tmp_path):
+    output = canned_output()
+    summary = bench_pairs.summarize(pairs([10.0] * 10, [13.0] * 10), SPECS, claim="op_ms_p50")
+    output["runs"][0]["workloads"]["calibrate"]["end_to_end"] = summary
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps(output))
+    assert bench_pairs.main(["--show", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[6]
+    assert row.endswith("| +30.0% | 0/10 | beyond 25% | fails: gain -3 vs parent IQR 0 |")

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -870,3 +874,137 @@ class TestSizeLimit:
 def test_only_a_fit_report_exits_4():
     # fit's exit 4 comes from FitResult.converged; no exception maps to it
     assert [code for _, code in cli.EXIT_CODES] == [2, 2, 3]
+
+
+
+class TestHostileFindings:
+    """Calls that once raised a warning or an untyped exception out of main."""
+
+    def test_level_changes_beyond_the_float_range_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "pm.csv"
+        path.write_text("date,value\n" + "".join(f"{1960 + i}-01-01,{(-1) ** i * 1e308!r}\n" for i in range(40)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, ["fluctuation", str(path), "--mode", "levels", "--bins", "5"])
+        assert (code, out) == (3, "")
+        assert err == "infoeq: error: series_changes: a level difference exceeds the float range\n"
+
+    @pytest.mark.parametrize("grid", ["inf:2009:3", "1991:-inf:3"])
+    def test_infinite_grid_endpoint_exits_3(self, workdir, capsys, grid):
+        argv = ["eval", "price-level", "--params", str(workdir / "params.txt"), f"--grid={grid}",
+                "--input", f"n={workdir / 'n.csv'}", "--input", f"m={workdir / 'm.csv'}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("infoeq: error: t=") and err.count("\n") == 1
+
+    def test_negative_seed_exits_3(self, capsys):
+        code, out, err = run_main(capsys, ["ensemble", "--seed=-1", "--runs", "1", "--n0", "5"])
+        assert (code, out, err) == (3, "", "infoeq: error: seed must be non-negative\n")
+
+    def test_fit_box_beyond_working_precision_exits_3(self, model_dir, capsys):
+        inputs = [f"--input={name}={model_dir / stem}.csv" for name, stem in FIT_FILES["cobb-douglas"]]
+        argv = ["fit", "cobb-douglas", *inputs, "--grid=1961:2013:12", "--x0=0.0024,0.44,1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "infoeq: error: no point of the box solves the least squares to working precision\n"
+
+
+# flag values that a hostile caller may pass, beside each flag's typical one
+HOSTILE = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "-1")
+NAN_CELL = re.compile(r"(?<![A-Za-z])nan(?![A-Za-z])", re.IGNORECASE)
+
+
+def test_hostile_arguments_exit_cleanly(model_dir, tmp_path_factory):
+    """Every subcommand on flags drawn from {typical, 0, +-1e-300, +-1e300,
+    nan, +-inf, -1}, and on `smooth` and `fluctuation` inputs with values
+    near +-1e306: exit 0-4 with no exception or warning, one error line on
+    exit 2 or 3, and no nan cell on stdout."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    work = tmp_path_factory.mktemp("hostile")
+    params_path, series_path = work / "params.txt", work / "series.csv"
+
+    @st.composite
+    def argvs(draw):
+        def value(typical):
+            return draw(st.sampled_from((typical,) * 6 + HOSTILE))
+
+        def flags(**typical):
+            """--name=value for each flag drawn (most of them)."""
+            out = []
+            for name, default in typical.items():
+                if draw(st.integers(0, 4)):
+                    out.append(f"--{name.replace('_', '-')}={value(default)}")
+            return out
+
+        def grid(start, stop, count):
+            return f"--grid={value(start)}:{value(stop)}:{value(count)}"
+
+        def series_file():
+            """A yearly date,value file: typical values, values near 1e306, or
+            near +-1e306 (fluctuation needs 31 rows)."""
+            kind = draw(st.sampled_from([
+                st.floats(1.0, 1000.0),
+                st.floats(1e305, 2e306),
+                st.one_of(st.floats(-2e306, 2e306), st.sampled_from([1e306, -1e306])),
+            ]))
+            size = draw(st.sampled_from([1, 3, 8, 40, 60]))
+            values = draw(st.lists(kind, min_size=size, max_size=size))
+            lines = "".join(f"{2000 + i}-01-01,{v!r}\n" for i, v in enumerate(values))
+            series_path.write_text("date,value\n" + lines)
+            return str(series_path)
+
+        command = draw(st.sampled_from(["smooth", "eval", "fit", "ensemble", "fluctuation"]))
+        if command == "smooth":
+            return ["smooth", series_file(), *flags(span="0.5", degree="1")]
+        if command == "fluctuation":
+            mode = draw(st.sampled_from(["log_percent", "levels"]))
+            return ["fluctuation", series_file(), "--mode", mode, *flags(bins="5")]
+        if command == "ensemble":
+            return ["ensemble", *flags(n0="20", a_mean="1.5", a_sd="0.5", runs="3", seed="0"),
+                    f"--m-grid={value('1')}:{value('100')}:{value('10')}",
+                    "--m-grid-scale", draw(st.sampled_from(["lin", "log"]))]
+        if command == "fit":
+            model = draw(st.sampled_from(sorted(FIT_FILES)))
+            inputs = [f"--input={name}={model_dir / stem}.csv" for name, stem in FIT_FILES[model]]
+            x0 = [value(v) for v in (FIT_X0[model] or "0.0024,0.44,0.84").split(",")]
+            return ["fit", model, *inputs, grid("1961", "2013", "12"), f"--x0={','.join(x0)}",
+                    *flags(span="0.5", tol="1e-8", max_iter="200")]
+        model = draw(st.sampled_from([*EVAL_FILES, *cli.CURVE_MODELS, "ridge"]))
+        if model == "ridge":
+            return ["eval", "ridge", *flags(kappa="2", gamma="3")]
+        if model == "adas":
+            return ["eval", "adas", *flags(n0="1", s0="1", k_a="1", n_ref="1", s_ref="1", supply_shift="0.1"),
+                    *draw(st.sampled_from([["--equilibrium"], [grid("-1", "1", "5")]]))]
+        if model == "islm":
+            return ["eval", "islm", *flags(n0="1", m_ref="1", s_ref="1", k_p="1", k_s="1", k_i="1",
+                                           delta_n="0", delta_m="0", is_shift="0"),
+                    *draw(st.sampled_from([["--equilibrium"], [grid("0.1", "1", "5")]]))]
+        params_path.write_text("".join(f"{key} = {value(str(v))}\n" for key, v in MODEL_PARAMS.items()))
+        inputs = [f"--input={name}={model_dir / stem}.csv" for name, stem in EVAL_FILES[model]]
+        return ["eval", model, *inputs, "--params", str(params_path), grid("1961", "2013", "20"),
+                *flags(span="0.5")]
+
+    @hypothesis.settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(argv=argvs())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3, 4), (argv, code, err)
+        if code in (2, 3):
+            assert (out, err.count("\n"), err.startswith("infoeq: error: ")) == ("", 1, True), (argv, err)
+        elif code != 1:
+            assert all(line.startswith("infoeq: warning: ") for line in err.splitlines()), (argv, err)
+        assert not NAN_CELL.search(out), (argv, out)
+
+    check()

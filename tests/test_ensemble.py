@@ -379,3 +379,14 @@ class TestFluctuationComparison:
             out = fluctuation_comparison(s, bins=5)
         assert np.all(np.isfinite(out.centers)) and np.all(np.isfinite(out.theory))
         assert np.sum(out.theory) == pytest.approx(40.0, rel=1e-12)
+
+
+def test_level_changes_beyond_the_float_range_name_series_changes():
+    ts = TimeSeries(np.arange(4.0), [-1e308, 1e308, -1e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^series_changes: a level difference exceeds the float range$"):
+            series_changes(ts, mode="levels")
+    # differences in range keep their bits
+    v = np.array([1e308, 0.0, -1e308, 0.1, 0.3])
+    assert np.diff(v).tobytes() == series_changes(TimeSeries(np.arange(5.0), v), mode="levels").tobytes()

@@ -546,3 +546,66 @@ class TestAlign:
         b = TimeSeries([1.0, 3.0], [0.0, 2.0])
         with pytest.raises(OutOfRange):
             align(a, b, [0.5, 1.5])
+
+
+def test_interp_linear_where_the_slope_overflows():
+    ts = TimeSeries([0.0, 1.0], [-1e308, 1e308])
+    assert interp_linear(ts, 0.75) == pytest.approx(5e307, rel=1e-15)
+    assert np.array_equal(interp_linear(ts, [0.0, 0.5, 1.0]), [-1e308, 0.0, 1e308])
+    # segments whose slope is in range keep np.interp's bits
+    wide = TimeSeries([0.0, 1.0, 2.0, 3.0], [0.1, 0.7, -1e308, 1e308])
+    t = np.array([0.3, 1.1, 1.9, 2.5])
+    out = interp_linear(wide, t)
+    assert out[:3].tobytes() == np.interp(t[:3], wide.t, wide.v).tobytes()
+    assert out[3] == 0.0
+
+
+@pytest.mark.parametrize(
+    "line, fast",
+    [
+        ("2001-0e-01,1", False),
+        ("+001-01-01,1", False),
+        ("2001-01-1e,1", False),
+        ("2001+01-01,1", False),
+        ("2001-01.01,1", False),
+        ("2001-1.-05,1", False),  # "1." read as digits would be month 8
+        ("2001-01-1,1", False),
+        ("2001-01-011,1", False),
+        ("2001-01-012,1\n000-01-01,2", False),  # 11 + 9 date bytes, two dates' worth
+        ("1900-02-29,1", False),
+        ("2000-02-29,1", True),
+        ("2100-02-29,1", False),
+        ("2001-00-01,1", False),
+        ("2001-13-01,1", False),
+        ("2001-01-00,1", False),
+        ("2001-01-32,1", False),
+        ("2001-04-31,1", False),
+        ("2001-01-01,1e", False),
+        ("2001-01-01,e5", False),
+        ("2001-01-01,+", False),
+        ("2001-01-01,1.2.3", False),
+        ("2001-01-01,--1", False),
+        ("2001-01-01,.e1", False),
+        ("2001-01-01,", False),
+        (",5", False),
+        ("2001-01-01,１", False),  # a full-width digit, which float() reads
+        ("٢٠٠١-01-01,1", False),
+        ("2001-01-01,1\r2", False),
+        ("2001-01\r-01,1", False),
+    ],
+)
+def test_iso_gate_gives_way_or_matches_the_row_parser(tmp_path, monkeypatch, line, fast):
+    """Bytes of the number class where a date digit belongs, dates of the
+    wrong length or outside the calendar, number-class values that are not
+    numbers, non-ASCII text and a CR inside a line, between plain rows."""
+    text = f"date,value\n1999-06-01,0.5\n{line}\n2002-01-01,3\n"
+    path = tmp_path / "a.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    columns = timeseries._iso_columns(text, "date", "value")
+    assert (columns is not None) == fast
+    if fast:
+        rows = timeseries._row_columns(text, "date", "value")
+        assert columns[0].tobytes() == np.asarray(rows[0]).tobytes()
+        assert columns[1].tobytes() == np.asarray(rows[1]).tobytes()
+    assert outcome(lambda: load_csv(path)) == row_parser_outcome(monkeypatch, path)

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --workload W [--workload W ...]
         --seeds 101-110 [--seconds 20] [--trace] [--claim METRIC] [--label NAME] -o BENCH_<n>.json
+    python3 tools/bench_pairs.py --show BENCH_<n>.json
 
 Both revisions are checked out clean under `.bench_build/` (see
 worktree.py; the default change is the working tree). For every seed
@@ -19,7 +20,8 @@ parent's by more than the parent's interquartile range. Every raw pair,
 its environment records and the exact commands are kept. An existing
 output file gains the new run in its "runs" list. --trace adds one
 traced run per seed, summarised the same way against the per-layer
-metrics, which have no bound.
+metrics, which have no bound. --show prints the summaries of a file as
+one Markdown table per run, workload and kind of metric.
 """
 
 from __future__ import annotations
@@ -111,6 +113,58 @@ def summarize(pairs: list[dict], specs: dict[str, dict], claim: str | None = Non
     return summary
 
 
+def _seeds_text(seeds: list[int]) -> str:
+    if seeds == list(range(seeds[0], seeds[-1] + 1)):
+        return f"{seeds[0]}-{seeds[-1]}"
+    return ",".join(map(str, seeds))
+
+
+def table(summary: dict) -> list[str]:
+    """Markdown rows of one summary: per metric the parent's median and
+    quartiles, the change's median, the relative change, the pairs the
+    change won, the bound verdict and, on the claimed metric, the claim's."""
+    claim = summary.get("claim", {})
+    rows = [
+        "| metric | parent median [q1, q3] | change median | change | wins | bound | claim |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for name, m in summary["metrics"].items():
+        parent = m["parent"]
+        bound = "" if m["bound"] is None else f"{'within' if m['within_bound'] else 'beyond'} {m['bound']:.0%}"
+        verdict = ""
+        if claim.get("metric") == name:
+            held = "holds" if claim["holds"] else "fails"
+            verdict = f"{held}: gain {claim['median_gain']:.4g} vs parent IQR {claim['parent_iqr']:.4g}"
+        rows.append(
+            f"| {name} ({m['unit']}) | {parent['median']:.4g} [{parent['q1']:.4g}, {parent['q3']:.4g}] "
+            f"| {m['change']['median']:.4g} | {m['relative_change']:+.1%} | {m['change_wins']}/{m['pairs']} "
+            f"| {bound} | {verdict} |"
+        )
+    return rows
+
+
+def show(output: dict) -> str:
+    """Every run of a BENCH file as Markdown: a heading per run, workload
+    and kind of metric, one line of context, then its table."""
+    lines = []
+    for run in output["runs"]:
+        revs = ", ".join(f"{side} {v['rev']} ({v['commit'][:12]})" for side, v in run["revs"].items())
+        for workload, entry in run["workloads"].items():
+            for kind, summary in entry.items():
+                failed, attempted = summary["failed"], summary["attempted"]
+                lines += [
+                    f"### {run['label'] or 'run'}: {workload}, {kind.replace('_', '-')}",
+                    "",
+                    f"{revs}; {len(run['seeds'])} pairs of {run['seconds']:g} s, seeds {_seeds_text(run['seeds'])}; "
+                    f"failed ops {failed['parent']}/{attempted['parent']} parent, "
+                    f"{failed['change']}/{attempted['change']} change; gate passed: {summary['gate_passed']}",
+                    "",
+                    *table(summary),
+                    "",
+                ]
+    return "\n".join(lines)
+
+
 def metric_specs(benchmark: dict, trace: bool) -> dict[str, dict]:
     if trace:
         return {m["name"]: {"better": m["better"], "bound": None} for m in benchmark["per_layer"]}
@@ -148,16 +202,23 @@ def run_pairs(paths: dict[str, Path], workload: str, seeds: list[int], seconds: 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--show", type=Path, metavar="BENCH_FILE", help="print the tables of a file and stop")
+    parser.add_argument("--parent", help="parent revision")
     parser.add_argument("--change", default=WORKTREE, help="change revision (default: the working tree)")
-    parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", type=seeds_arg, required=True, help="101-110 or 101,103")
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seeds", type=seeds_arg, help="101-110 or 101,103")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", action="store_true", help="also run one traced pair per seed")
     parser.add_argument("--claim", help="end-to-end metric the change claims to improve")
     parser.add_argument("--label", default="", help="name of this run in the output file")
-    parser.add_argument("-o", "--output", type=Path, required=True)
+    parser.add_argument("-o", "--output", type=Path)
     args = parser.parse_args(argv)
+    if args.show is not None:
+        print(show(json.loads(args.show.read_text())), end="")
+        return 0
+    missing = [flag for flag in ("parent", "workload", "seeds", "output") if getattr(args, flag) is None]
+    if missing:
+        parser.error(f"without --show, these are required: {', '.join('--' + flag for flag in missing)}")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
