@@ -1,10 +1,11 @@
 """The rules every closed form shares.
 
 Arguments must be finite, and most must be positive; a 0-d input gives
-a Python float back and an array input gives an array back. A result
-evaluated from its log, a product from the sum of its factors' logs, is
-checked against the float range before the exp. Each rule is written
-here once.
+a Python float back and an array input gives an array back. A series,
+sample or grid is stored as a read-only 1-d copy, and a count is an int.
+A result evaluated from its log, a product from the sum of its factors'
+logs, is checked against the float range before the exp. Each rule is
+written here once.
 """
 
 from __future__ import annotations
@@ -45,6 +46,37 @@ def finite(value, label: str, error=DomainError):
     return scalar(arr)
 
 
+def positives(**values) -> None:
+    """positive() on each keyword argument, labelled by its keyword."""
+    for label, value in values.items():
+        positive(value, label)
+
+
+def vector(value, label: str, check=finite, increasing: bool = False) -> np.ndarray:
+    """A read-only 1-d float copy of value, so the caller's array is left
+    alone; raises DomainError unless it is non-empty and passes check,
+    and, with increasing, unless it is strictly increasing."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError(f"{label} must be a non-empty 1-d array")
+    check(arr, label)
+    if increasing and not (arr[1:] > arr[:-1]).all():  # a comparison cannot overflow
+        raise DomainError(f"{label} must be strictly increasing")
+    arr.flags.writeable = False
+    return arr
+
+
+def whole(value, label: str, minimum: int = 1) -> int:
+    """value as an int; raises DomainError naming label unless it is a
+    real, whole number of at least minimum."""
+    integral = isinstance(value, numbers.Integral)  # an int of any size, without a float
+    if not (integral or isinstance(value, numbers.Real) and float(value).is_integer()):  # False for NaN, inf
+        raise DomainError(f"{label} must be a whole number")
+    if value < minimum:
+        raise DomainError(f"{label} must be " + ("non-negative" if minimum == 0 else f"at least {minimum}"))
+    return int(value)
+
+
 def from_log(log_value, label: str):
     """exp(log_value) (a float if 0-d); raises DomainError naming label
     where an exponent is NaN or above the float range. A result below the
@@ -52,7 +84,9 @@ def from_log(log_value, label: str):
     arr = np.asarray(log_value, dtype=float)
     ok = arr <= LOG_MAX  # False for NaN
     if not ok.all():
-        raise DomainError(f"{label}: exp({float(arr[~ok][0])!r}) exceeds the float range")
+        bad = float(arr[~ok][0])
+        cause = "an exponent is NaN" if math.isnan(bad) else f"exp({bad!r}) exceeds the float range"
+        raise DomainError(f"{label}: {cause}")
     return scalar(np.exp(arr))
 
 

@@ -36,6 +36,7 @@ from .macro import (
     ridge_sigma,
 )
 from .paramfile import (
+    _take,
     cobb_douglas_params,
     interest_params,
     load_params,
@@ -149,9 +150,7 @@ def _on_grid(series, grid) -> list:
 
 
 def _okun_params(params: dict[str, float]) -> float:
-    if "k_H" not in params:
-        raise ParseError("missing keys: k_H")
-    return params["k_H"]
+    return next(_take(params, ("k_H",)))
 
 
 # model -> (--input names, values on grid t from the series s and the

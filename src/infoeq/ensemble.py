@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import fields, finite, positive
+from ._checks import fields, finite, positive, vector, whole
 from .errors import DomainError, InsufficientData, ModelDomainError
 from .timeseries import TimeSeries
 
@@ -51,12 +51,7 @@ class MarketEnsemble:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)  # a copy: freezing it leaves the caller's array alone
-        if a.ndim != 1 or a.size == 0:
-            raise DomainError("a must be a non-empty 1-d array")
-        finite(a, "index draws")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", vector(self.a, "index draws"))
 
     @property
     def n0(self) -> int:
@@ -139,21 +134,12 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n0) < 1 or int(self.runs) < 1:
-            raise DomainError("n0 and runs must be at least 1")
-        if int(self.seed) < 0:
-            raise DomainError("seed must be non-negative")
+        for label, minimum in (("n0", 1), ("runs", 1), ("seed", 0)):
+            object.__setattr__(self, label, whole(getattr(self, label), label, minimum))
         fields(self, "a_mean", "a_sd", check=finite)
         if self.a_sd < 0.0:
             raise DomainError("a_sd must be non-negative")
-        grid = np.array(self.m_grid, dtype=float)  # a copy, as in MarketEnsemble
-        if grid.ndim != 1 or grid.size == 0:
-            raise DomainError("m_grid must be a non-empty 1-d array")
-        positive(grid, "m_grid values")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise DomainError("m_grid must be strictly increasing")
-        grid.flags.writeable = False
-        object.__setattr__(self, "m_grid", grid)
+        object.__setattr__(self, "m_grid", vector(self.m_grid, "m_grid", check=positive, increasing=True))
 
 
 @dataclass(frozen=True)
@@ -181,7 +167,7 @@ def monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     avg_output and avg_price called per run and m value, bit for bit.
     """
     grid = config.m_grid
-    runs, n0 = int(config.runs), int(config.n0)
+    runs, n0 = config.runs, config.n0
     # math.log as in _weights: np.log may differ from it in the last bit
     neg_log_m = np.array([-math.log(m) for m in grid.tolist()])
     cols = min(grid.size, max(1, _BLOCK // n0))
@@ -299,18 +285,13 @@ def fluctuation_comparison(samples, bins: int = 30) -> FluctuationResult:
     however large the centers. Deterministic: identical inputs give
     identical outputs bit-for-bit.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1:
-        raise DomainError("samples must be a 1-d array")
-    if not np.all(np.isfinite(samples)):
-        raise DomainError("samples must be finite")
+    samples = vector(samples, "samples")
     if samples.size < 30:
         raise InsufficientData(f"need at least 30 samples, got {samples.size}")
-    if int(bins) < 1:
-        raise DomainError("bins must be at least 1")
+    bins = whole(bins, "bins")
     if not math.isfinite(float(samples.max()) - float(samples.min())):
         raise DomainError("samples must span less than the float range")
-    count, edges = np.histogram(samples, bins=int(bins))
+    count, edges = np.histogram(samples, bins=bins)
     count = count.astype(float)
     left, right = edges[:-1], edges[1:]
     centers = 0.5 * left + 0.5 * right

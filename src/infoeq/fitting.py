@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import positive
+from ._checks import positive, whole
 from .errors import DomainError, ModelDomainError, RankDeficient
 from .macro import (
     CobbDouglasParams,
@@ -63,7 +63,8 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # a search whose point reaches this in scaled or in original units has run
 # off to the edge of the float range: it stops unconverged, before points,
 # their differences or the objective's argument overflow
-_EDGE = float(np.finfo(float).max) / 4.0
+_MAX = float(np.finfo(float).max)
+_EDGE = _MAX / 4.0
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ class FitProblem:
         bounds = (-inf if self.lower is None else self.lower, inf if self.upper is None else self.upper)
         x0, lower, upper = _box(self.x0, bounds, None, names, [False] * size)
         positive(self.tol, "tol")
-        if int(self.max_iter) < 1:
-            raise DomainError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", whole(self.max_iter, "max_iter"))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -216,7 +216,7 @@ def minimize(problem: FitProblem) -> FitResult:
     iterations = 0
     converged = False
 
-    for iterations in range(1, int(problem.max_iter) + 1):
+    for iterations in range(1, problem.max_iter + 1):
         if line_searches >= n * n:
             # periodic restart; applied at cycle boundaries so a freshly
             # accepted displacement direction survives its own cycle
@@ -356,7 +356,9 @@ def _prepare(ts: TimeSeries, grid) -> np.ndarray:
 
 
 def _default_bounds(x0: np.ndarray, spread: float = 5.0):
-    return x0 / spread, x0 * spread
+    """x0 / spread to x0 * spread for a positive x0, the upper bound at most
+    the largest float."""
+    return x0 / spread, np.minimum(x0, _MAX / spread) * spread
 
 
 def _result(x, lower, upper, names, residuals, iterations=1, converged=True) -> FitResult:
@@ -517,7 +519,8 @@ def fit_cobb_douglas(
     names = ("A", "k1", "k2")
 
     def default(x0):
-        return np.r_[x0[0] / 5.0, x0[1:] - 2.0], np.r_[x0[0] * 5.0, x0[1:] + 2.0]
+        a_lo, a_hi = _default_bounds(x0[:1])
+        return np.r_[a_lo, x0[1:] - 2.0], np.r_[a_hi, x0[1:] + 2.0]
 
     x0, lower, upper = _box(x0, bounds, default, names, (True, False, False))
     ln_n, ln_k, ln_l = _logs(n, kv, lv)

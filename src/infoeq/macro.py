@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import LOG_MAX, fields, finite, from_log, positive, product, scalar
+from ._checks import LOG_MAX, fields, finite, from_log, positive, positives, product, scalar
 from .errors import DegenerateEquilibrium, DomainError, ModelDomainError
 from .relations import IERelation, ge_price
 from .timeseries import TimeSeries, interp_linear, log_growth
@@ -150,8 +150,7 @@ def k_index_gradient(n, m, params: PriceLevelParams):
 
 def price_level_at_index(k, m, alpha: float, m0: float):
     """Core price level P = alpha * k * (m/m0)**(k-1) at a given index k."""
-    positive(alpha, "alpha")
-    positive(m0, "m0")
+    positives(alpha=alpha, m0=m0)
     k = positive(k, "k", ModelDomainError)
     m = positive(m, "m", ModelDomainError)
     log_p = np.log(k) + math.log(alpha) + (k - 1.0) * (np.log(m) - math.log(m0))
@@ -309,12 +308,6 @@ def _bisect_root(g, x0: float, tol: float = 1e-10, max_expand: int = 200) -> flo
     return 0.5 * (lo + hi)
 
 
-def _check_positive(**values) -> None:
-    """positive() on each keyword argument, labelled by its keyword."""
-    for label, value in values.items():
-        positive(value, label)
-
-
 def _demand(log_n: float, k: float, ref: float):
     """The log of AD (n0, k_a, s_ref), IS (n0, k_s, s_ref) or LM (n, k_p, m_ref):
     log(n/(k*ref)) - (k/n)*x at shift x, as (value at 0, log slope, sign)."""
@@ -362,7 +355,7 @@ def adas_curves(
     LRAS: the general-equilibrium price locus P ~ S**(k_a-1), emitted over
     s_values (default: a geometric sweep around s_ref).
     """
-    _check_positive(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
+    positives(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
     delta_n = np.asarray(delta_n, dtype=float)
     delta_s = np.asarray(delta_s, dtype=float)
     p_ad = from_log(_at(_demand(math.log(n0), k_a, s_ref), delta_n), "adas_curves")
@@ -397,7 +390,7 @@ def adas_equilibrium(
 
     with both slopes taken from their logs: an infinite one is a vertical curve.
     """
-    _check_positive(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
+    positives(n0=n0, s0=s0, k_a=k_a, n_ref=n_ref, s_ref=s_ref)
     finite(supply_shift, "supply_shift")
     ad, sras = _demand(math.log(n0), k_a, s_ref), _sras(s0, k_a, n_ref)
     with np.errstate(over="ignore"):
@@ -432,7 +425,7 @@ def islm_curves(
         i**k_i = (n0/(k_s*s_ref)) * exp(-k_s*delta_n/n0)
     where dn = shift.delta_n and dm = shift.delta_m.
     """
-    _check_positive(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
+    positives(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
     n_eff = n0 + shift.delta_n
     if n_eff <= 0.0:
         raise ModelDomainError("shifted source n0 + delta_n must stay positive")
@@ -463,7 +456,7 @@ def islm_equilibrium(
     equilibria. delta_n is parameterized as n0*(e**u - 1) so the shifted
     total n0 + delta_n stays positive, with log(n0) + u as its log.
     """
-    _check_positive(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
+    positives(n0=n0, m_ref=m_ref, s_ref=s_ref, k_p=k_p, k_s=k_s, k_i=k_i)
     finite(delta_m, "delta_m")
     finite(is_shift, "is_shift")
     log_n0 = math.log(n0)
@@ -489,8 +482,7 @@ def money_mediation(k: float, k_s: float) -> float:
     If N->M carries index k and S->M carries index k_s then the implied
     N->S relation carries k/k_s.
     """
-    positive(k, "k")
-    positive(k_s, "k_s")
+    positives(k=k, k_s=k_s)
     return product("money_mediation", k, divisors=(k_s,))
 
 
@@ -508,8 +500,7 @@ def ridge_sigma(kappa: float, gamma: float) -> float:
     stationary at sigma = gamma * exp(-(kappa + log gamma)/kappa), where
     gamma is the common log scale divided by m0. Returns that sigma.
     """
-    positive(kappa, "kappa")
-    positive(gamma, "gamma")
+    positives(kappa=kappa, gamma=gamma)
     e = -(kappa + math.log(gamma)) / kappa
     if e <= LOG_MAX:
         return gamma * math.exp(e)

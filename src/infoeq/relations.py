@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import fields, finite, from_log, positive, product
+from ._checks import fields, finite, from_log, positive, positives, product, whole
 from .errors import DomainError
 
 __all__ = [
@@ -127,8 +127,7 @@ class LinearizedCurves:
 
 def linearize(rel: IERelation, d0: float, s0: float) -> LinearizedCurves:
     """Expand both partial-equilibrium curves to first order around the refs."""
-    positive(d0, "d0")
-    positive(s0, "s0")
+    positives(d0=d0, s0=s0)
     alpha = float(rel.d_ref) + product("linearize", rel.k, d0)
     if np.any(alpha == math.inf):
         raise DomainError("linearize: d_ref + k*d0 exceeds the float range")
@@ -145,8 +144,7 @@ def elasticities(rel: IERelation, d0: float, s0: float) -> tuple[float, float]:
 
     e_d = -k*d0/d_ref and e_s = s0/(k*s_ref).
     """
-    positive(d0, "d0")
-    positive(s0, "s0")
+    positives(d0=d0, s0=s0)
     return (
         product("elasticities", -rel.k, d0, divisors=(rel.d_ref,)),
         product("elasticities", s0, divisors=(rel.k, rel.s_ref)),
@@ -155,16 +153,14 @@ def elasticities(rel: IERelation, d0: float, s0: float) -> tuple[float, float]:
 
 def constant_price(rel: IERelation, d0: float, s0: float) -> float:
     """Price k*d0/s0 when both sides adjust slowly (ratio of the deltas)."""
-    positive(d0, "d0")
-    positive(s0, "s0")
+    positives(d0=d0, s0=s0)
     return product("constant_price", rel.k, d0, divisors=(s0,))
 
 
 def constant_price_delta(rel: IERelation, d0: float, s0: float, delta_s):
     """Source shift k*d0*delta_s/s0 matching a destination shift in the
     both-slow regime."""
-    positive(d0, "d0")
-    positive(s0, "s0")
+    positives(d0=d0, s0=s0)
     return product("constant_price_delta", rel.k, d0, finite(delta_s, "delta_s"), divisors=(s0,))
 
 
@@ -210,13 +206,10 @@ def ode_oracle(
     Defaults start from the reference point, so the result is an
     independent numeric check of ge_source. Error falls as steps**-4.
     """
-    if steps < 1000:
-        raise DomainError("steps must be at least 1000")
+    steps = whole(steps, "steps", 1000)
     s0 = rel.s_ref if s_start is None else s_start
     d = rel.d_ref if d_start is None else d_start
-    positive(s0, "s_start")
-    positive(d, "d_start")
-    positive(s_end, "s_end")
+    positives(s_start=s0, d_start=d, s_end=s_end)
     k = rel.k
     h = (s_end - s0) / steps
     s = s0

@@ -14,12 +14,12 @@ import datetime as _dt
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._checks import scalar
+from ._checks import scalar, vector, whole
 from .errors import (
     DomainError,
     DuplicateTimestamp,
@@ -52,8 +52,9 @@ def decimal_year(date: _dt.date) -> float:
 class TimeSeries:
     """Immutable series of (decimal-year, value) samples.
 
-    Timestamps must be finite and strictly increasing; values must be
-    finite. Both arrays are stored read-only.
+    Timestamps must be finite, strictly increasing and span less than
+    the float range; values must be finite. Both arrays are stored as
+    read-only copies.
     """
 
     t: np.ndarray
@@ -62,19 +63,11 @@ class TimeSeries:
     units: str = ""
 
     def __post_init__(self):
-        # copies, so freezing them never freezes the caller's arrays
-        t = np.array(self.t, dtype=float)
-        v = np.array(self.v, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
+        t, v = vector(self.t, "timestamps", increasing=True), vector(self.v, "values")
+        if t.shape != v.shape:
             raise DomainError("t and v must be 1-d arrays of equal length")
-        if t.size == 0:
-            raise DomainError("series must contain at least one sample")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
-            raise DomainError("timestamps and values must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise DomainError("timestamps must be strictly increasing")
-        t.flags.writeable = False
-        v.flags.writeable = False
+        if not math.isfinite(float(t[-1]) - float(t[0])):  # Python floats: inf, without a warning
+            raise DomainError("timestamps must span less than the float range")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
 
@@ -98,6 +91,7 @@ class LoessConfig:
     span: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", whole(self.degree, "degree"))
         if self.degree not in (1, 2):
             raise DomainError("degree must be 1 or 2")
         if not (0.0 < self.span <= 1.0):
@@ -166,7 +160,7 @@ def load_csv(
     order = np.argsort(ts, kind="stable")
     t_arr = np.asarray(ts, dtype=float)[order]
     v_arr = np.asarray(vs, dtype=float)[order]
-    dup = np.nonzero(np.diff(t_arr) == 0.0)[0]
+    dup = np.nonzero(t_arr[1:] == t_arr[:-1])[0]  # a comparison, which cannot overflow
     if dup.size:
         raise DuplicateTimestamp(f"timestamp {t_arr[dup[0]]!r} appears more than once")
     return TimeSeries(t_arr, v_arr, name=name or str(path), units=units)

@@ -918,6 +918,49 @@ HOSTILE = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "-
 NAN_CELL = re.compile(r"(?<![A-Za-z])nan(?![A-Za-z])", re.IGNORECASE)
 
 
+class TestInProcessPaths:
+    """Paths that other tests reach only through a subprocess, or not at all."""
+
+    def test_output_path_gets_the_stdout_text(self, workdir, capsys):
+        argv = ["smooth", str(workdir / "n.csv"), "--span", "0.5"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "")
+        assert run_main(capsys, [*argv, "-o", str(workdir / "out.csv")]) == (0, "", "")
+        assert (workdir / "out.csv").read_text() == out
+
+    def test_two_part_grid_is_usage_error(self, workdir, capsys):
+        argv = ["eval", "price-level", "--params", str(workdir / "params.txt"), "--grid", "1990:2010",
+                "--input", f"n={workdir / 'n.csv'}", "--input", f"m={workdir / 'm.csv'}"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "infoeq: error: grid must be start:stop:count, got '1990:2010'"
+
+    def test_okun_without_k_h_exits_2(self, workdir, capsys):
+        save_params(workdir / "short.txt", {"alpha": 0.6})
+        argv = ["eval", "okun", "--params", str(workdir / "short.txt"), "--grid", "1991:2009:5",
+                "--input", f"n={workdir / 'n.csv'}", "--input", f"p={workdir / 'm.csv'}"]
+        assert run_main(capsys, argv) == (2, "", "infoeq: error: missing keys: k_H\n")
+
+    def test_adas_equilibrium_matches_library(self, capsys):
+        argv = [*adas_argv("100", "80", "1.4", "90", "75"), "--supply-shift", "3.0", "--equilibrium"]
+        x_star, p_star = adas_equilibrium(100.0, 80.0, 1.4, 90.0, 75.0, supply_shift=3.0)
+        assert run_main(capsys, argv) == (0, f"delta_n,price\n{x_star!r},{p_star!r}\n", "")
+
+    def test_nan_grid_names_the_nan(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, [*adas_argv("1", "1", "1", "1", "1"), "--grid=nan:1:3"])
+        assert (code, out, err) == (3, "", "infoeq: error: adas_curves: an exponent is NaN\n")
+
+    def test_fit_from_near_the_float_maximum_warns_only_of_its_bounds(self, model_dir, capsys):
+        inputs = [f"--input={name}={model_dir / stem}.csv" for name, stem in FIT_FILES["price-level"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, ["fit", "price-level", *inputs, f"--grid={GRID}", "--x0=1e308,5e-4,650"])
+        assert code == 0 and err.startswith("infoeq: warning: fit ended on a bound: ") and err.count("\n") == 1
+        assert all(np.isfinite(list(json.loads(out)["parameters"].values())))
+
+
 def test_hostile_arguments_exit_cleanly(model_dir, tmp_path_factory):
     """Every subcommand on flags drawn from {typical, 0, +-1e-300, +-1e300,
     nan, +-inf, -1}, and on `smooth` and `fluctuation` inputs with values

@@ -776,6 +776,29 @@ class TestFitValidation:
         assert out.f_star == float(out.residuals @ out.residuals)
 
 
+def test_price_level_rejects_a_zero_lower_bound():
+    fit, x0 = fit_call("price-level")
+    with pytest.raises(DomainError, match="^price level bounds must be positive$"):
+        fit(x0, (np.r_[0.0, x0[1:] / 2.0], x0 * 2.0))
+
+
+class TestDefaultBox:
+    """The default box runs from x0/5 to x0*5, its upper end at most the largest float."""
+
+    def test_upper_end_stops_at_the_largest_float(self):
+        lower, upper = fitting._default_bounds(np.array([1e308, 2.0]))
+        assert lower.tolist() == [1e308 / 5.0, 2.0 / 5.0]
+        assert upper.tolist() == [np.finfo(float).max, 10.0]
+
+    @pytest.mark.parametrize("model", ["price-level", "interest", "cobb-douglas"])
+    def test_a_start_near_the_float_maximum_fits_without_a_warning(self, model):
+        fit, x0 = fit_call(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fit(np.r_[1e308, x0[1:]], None)
+        assert np.all(np.isfinite(out.x)) and math.isfinite(out.f_star)
+
+
 class TestRankDeficientFits:
     def test_price_level_on_one_point_grid(self):
         grid = np.array([1990.0])
