@@ -20,8 +20,8 @@ the step its last line search took, never below tol, as Brent's praxis
 does (ibid., ch. 7): it starts at 1 in |x0|-scaled units, and the
 displacement's search starts from the displacement's length, so a cycle
 that only confirms a minimum probes within about tol of it. Box bounds
-clip the step interval, never a penalty, so model domain errors are
-unreachable during a search whose box is safe.
+clip the step interval and every trial point, never a penalty, so model
+domain errors are unreachable during a search whose box is safe.
 
 Everything here is deterministic: the same problem yields the same
 FitResult bit-for-bit.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import positive, whole
+from ._checks import from_log, positive, whole
 from .errors import DomainError, ModelDomainError, RankDeficient
 from .macro import (
     CobbDouglasParams,
@@ -166,7 +166,9 @@ def _line_min(f, x, d, fx, lo, hi, tol, step):
     Probes t = step then -step (clipped to the box) and doubles the first
     step that goes downhill until f rises or the box ends; with no downhill
     probe the probes bracket t = 0. Brent then searches the bracket.
-    Returns the new point, f there and the step t taken (0 if none)."""
+    Returns the new point, f there and the step t taken (0 if none).
+    Every point is clipped into [lo, hi], because x + t*d at a limit of
+    the step interval can round past a bound far smaller than x."""
     on = d != 0.0
     with np.errstate(over="ignore"):  # a limit beyond the float range is none
         span = np.sort([(lo - x)[on] / d[on], (hi - x)[on] / d[on]], axis=0)
@@ -174,8 +176,11 @@ def _line_min(f, x, d, fx, lo, hi, tol, step):
     if not t_lo < t_hi:
         return x, fx, 0.0
 
+    def point(t):
+        return np.clip(x + t * d, lo, hi)
+
     def g(t):
-        return f(x + t * d)
+        return f(point(t))
 
     t0, t1, g1 = 0.0, 0.0, fx
     for t in (min(step, t_hi), max(-step, t_lo)):
@@ -191,7 +196,7 @@ def _line_min(f, x, d, fx, lo, hi, tol, step):
             t2 = min(max(2.0 * t1, t_lo), t_hi)
         a, b = sorted((t0, t2 if math.isfinite(t2) else t1))
     t, gt = _brent(g, a, b, t1, g1, tol)
-    return (x + t * d, gt, t) if gt < fx else (x, fx, 0.0)
+    return (point(t), gt, t) if gt < fx else (x, fx, 0.0)
 
 
 def minimize(problem: FitProblem) -> FitResult:
@@ -344,15 +349,13 @@ def _box(x0, bounds, default, names, positive):
     return x0, lower, upper
 
 
-def _logs(*values):
-    """Natural logs of data, which the log transform requires to be positive."""
+def _sample(grid, *series: TimeSeries):
+    """The series on the grid, and their natural logs, which the log
+    transform requires to be positive."""
+    values = [np.asarray(interp_linear(ts, grid), dtype=float) for ts in series]
     if any(np.any(v <= 0.0) for v in values):
         raise DomainError("log transform requires positive data")
-    return [np.log(v) for v in values]
-
-
-def _prepare(ts: TimeSeries, grid) -> np.ndarray:
-    return np.asarray(interp_linear(ts, grid), dtype=float)
+    return values, [np.log(v) for v in values]
 
 
 def _default_bounds(x0: np.ndarray, spread: float = 5.0):
@@ -393,15 +396,11 @@ def fit_price_level(
     on the grid so that the index is defined; explicit bounds that admit
     a larger gamma*m0 are rejected.
     """
-    grid = np.asarray(grid, dtype=float)
-    n = _prepare(n_ts, grid)
-    m = _prepare(m_ts, grid)
-    p = _prepare(p_ts, grid)
+    (n, m, _), (ln_n, ln_m, ln_p) = _sample(grid, n_ts, m_ts, p_ts)
     names = ("alpha", "gamma", "M0")
     x0, lower, upper = _box(x0, bounds, _default_bounds, names, (True, True, True))
     if np.any(lower <= 0.0):
         raise DomainError("price level bounds must be positive")
-    ln_n, ln_m, ln_p = _logs(n, m, p)
 
     # keep the k_index logs positive for every admissible c
     cap = float(min(np.min(n), np.min(m))) * math.exp(-0.05)
@@ -425,9 +424,8 @@ def fit_price_level(
     c_box = ([x0[1] * x0[2]], [lower[1] * lower[2]], [min(c_hi, cap)])
     search = minimize(FitProblem(lambda x: project(x[0])[1], *c_box, ("c",), tol, max_iter))
     c = float(search.x[0])
-    log_alpha, log_m0 = project(c)[0]
-    m0 = math.exp(log_m0)
-    x = np.clip([math.exp(log_alpha), c / m0, m0], lower, upper)
+    alpha, m0 = from_log(project(c)[0], "fit_price_level")
+    x = np.clip([alpha, c / m0, m0], lower, upper)
     residuals = np.log(price_level(n, m, PriceLevelParams(*x))) - ln_p
     return _result(x, lower, upper, names, residuals, search.iterations, search.converged)
 
@@ -452,17 +450,13 @@ def fit_interest(
     in (a, b) on the stacked markets, solved exactly over the image of
     the (k_i, k_p) box; a bound that binds holds the parameter on it.
     """
-    grid = np.asarray(grid, dtype=float)
-    n = _prepare(n_ts, grid)
-    m_long = _prepare(m_long_ts, grid)
-    m_short = _prepare(m_short_ts, grid)
-    r_long = _prepare(long_rate_ts, grid)
-    r_short = _prepare(short_rate_ts, grid)
+    (n, m_long, m_short, _, _), (ln_n, ln_ml, ln_ms, ln_rl, ln_rs) = _sample(
+        grid, n_ts, m_long_ts, m_short_ts, long_rate_ts, short_rate_ts
+    )
     names = ("k_i", "k_p")
     x0, lower, upper = _box(x0, bounds, _default_bounds, names, (True, True))
-    ln_n, ln_ml, ln_ms, ln_rl, ln_rs = _logs(n, m_long, m_short, r_long, r_short)
 
-    design = np.column_stack([np.concatenate([ln_n - ln_ml, ln_n - ln_ms]), np.ones(2 * grid.size)])
+    design = np.column_stack([np.concatenate([ln_n - ln_ml, ln_n - ln_ms]), np.ones(2 * n.size)])
     with np.errstate(divide="ignore"):
         # 1/k_hi <= a <= 1/k_lo and a*log(p_lo) <= -b <= a*log(p_hi), since a > 0
         ln_p_lo, ln_p_hi = np.log(lower[1]), np.log(upper[1])
@@ -471,7 +465,7 @@ def fit_interest(
     a, b = _lsq(design, np.concatenate([ln_rl, ln_rs]), g, h)
     if a <= 0.0:  # only reachable when the k_i box is unbounded above
         raise ModelDomainError("rates do not rise with N/M, so k_i is unbounded")
-    x = np.clip([1.0 / a, math.exp(-b / a)], lower, upper)
+    x = np.clip([1.0 / a, from_log(-b / a, "fit_interest")], lower, upper)
     fitted = InterestParams(*x)
     residuals = np.concatenate(
         [np.log(interest_rate(n, m_long, fitted)) - ln_rl, np.log(interest_rate(n, m_short, fitted)) - ln_rs]
@@ -491,7 +485,7 @@ def cobb_douglas_loglinear(capital, labor, output) -> CobbDouglasParams:
     nv = positive(output, "output")
     design = np.column_stack([np.ones_like(kv), np.log(kv), np.log(lv)])
     beta = _lsq(design, np.log(nv), np.empty((0, 3)), np.empty(0))
-    return CobbDouglasParams(a=float(math.exp(beta[0])), k1=float(beta[1]), k2=float(beta[2]))
+    return CobbDouglasParams(a=from_log(beta[0], "cobb_douglas_loglinear"), k1=float(beta[1]), k2=float(beta[2]))
 
 
 def fit_cobb_douglas(
@@ -509,10 +503,7 @@ def fit_cobb_douglas(
     solved exactly in (log a, k1, k2); when no bound binds, the result is
     the closed form.
     """
-    grid = np.asarray(grid, dtype=float)
-    n = _prepare(n_ts, grid)
-    kv = _prepare(k_ts, grid)
-    lv = _prepare(l_ts, grid)
+    (n, kv, lv), (ln_n, ln_k, ln_l) = _sample(grid, n_ts, k_ts, l_ts)
     if x0 is None:
         closed = cobb_douglas_loglinear(kv, lv, n)
         x0 = (closed.a, closed.k1, closed.k2)
@@ -523,12 +514,11 @@ def fit_cobb_douglas(
         return np.r_[a_lo, x0[1:] - 2.0], np.r_[a_hi, x0[1:] + 2.0]
 
     x0, lower, upper = _box(x0, bounds, default, names, (True, False, False))
-    ln_n, ln_k, ln_l = _logs(n, kv, lv)
     design = np.column_stack([np.ones_like(ln_k), ln_k, ln_l])
     with np.errstate(divide="ignore"):
         g, h = _box_rows(np.r_[np.log(lower[0]), lower[1:]], np.r_[np.log(upper[0]), upper[1:]])
     b = _lsq(design, ln_n, g, h)
-    x = np.clip([math.exp(b[0]), b[1], b[2]], lower, upper)
+    x = np.clip([from_log(b[0], "fit_cobb_douglas"), b[1], b[2]], lower, upper)
     residuals = np.log(cobb_douglas(kv, lv, CobbDouglasParams(*x))) - ln_n
     return _result(x, lower, upper, names, residuals)
 

@@ -106,18 +106,20 @@ class LoessConfig:
         return min(q, n)
 
 
+_ISO_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+
+
 def _parse_timestamp(text: str) -> float | None:
-    """ISO-8601 date or decimal year; None if neither parses."""
+    """A valid ``YYYY-MM-DD`` date in ASCII digits, which the array path
+    also reads, or a finite decimal year; None if neither parses. Not
+    date.fromisoformat, which takes more forms from Python 3.11 on."""
     s = text.strip()
-    try:
-        return decimal_year(_dt.date.fromisoformat(s))
-    except ValueError:
-        pass
-    try:
-        val = float(s)
-    except ValueError:
-        return None
-    return val if math.isfinite(val) else None
+    if iso := _ISO_DATE.fullmatch(s):
+        try:
+            return decimal_year(_dt.date(*map(int, iso.groups())))
+        except ValueError:
+            return None
+    return _parse_value(s)
 
 
 def _parse_value(text: str) -> float | None:
@@ -230,13 +232,17 @@ def _row_columns(text: str, date_col: str, value_col: str) -> tuple[list, list]:
     Handles every accepted layout and raises ParseError with the 1-based
     line number of the first bad row.
     """
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, line = [], 1  # (first line, cells) of each non-empty row; a quoted cell may span lines
+    for row in reader:
+        if row:
+            rows.append((line, row))
+        line = reader.line_num + 1
+    if not rows:
+        raise EmptyFile()
 
     idx_date, idx_value = 0, 1
-    start = 0
-    first = next((r for r in rows if r), None)
-    if first is None:
-        raise EmptyFile()
+    first = rows[0][1]
     if len(first) >= 2 and _parse_timestamp(first[0]) is not None and _parse_value(first[1]) is not None:
         pass  # headerless file: first line is data
     else:
@@ -245,12 +251,10 @@ def _row_columns(text: str, date_col: str, value_col: str) -> tuple[list, list]:
             idx_date = header.index(date_col.lower())
         if value_col.lower() in header:
             idx_value = header.index(value_col.lower())
-        start = rows.index(first) + 1
+        del rows[0]
 
     ts, vs = [], []
-    for line_no, row in enumerate(rows, start=1):
-        if line_no <= start or not row:
-            continue
+    for line_no, row in rows:
         if len(row) <= max(idx_date, idx_value):
             raise ParseError(f"expected at least {max(idx_date, idx_value) + 1} columns", line=line_no)
         t = _parse_timestamp(row[idx_date])

@@ -1,9 +1,10 @@
 """Per-point LOESS, the brute-force oracle for `infoeq.timeseries.loess_smooth`.
 
 One argsort, one tricube weighting and one `lstsq` per target point, in
-unscaled coordinates x = t_j - t_i. The window is the ceil(span*n)
-nearest points by a stable argsort of |t - t_i|, so on equal distances
-the earlier (left) point wins. A fit whose weighted design has rank
+coordinates x = (t_j - t_i)/radius in [-1, 1], so that the powers of x
+in the design stay near 1 on a short window. The window is the
+ceil(span*n) nearest points by a stable argsort of |t - t_i|, so on
+equal distances the earlier (left) point wins. A fit whose weighted design has rank
 below degree+1 by `lstsq`'s default rcond raises SingularFit.
 """
 
@@ -33,7 +34,7 @@ def loess_oracle(ts, config, points=None):
         radius = d[idx[-1]]
         w = (1.0 - np.clip(d[idx] / radius, 0.0, 1.0) ** 3) ** 3
         pos = w > 0.0
-        x = t[idx][pos] - t[i]
+        x = (t[idx][pos] - t[i]) / radius
         sw = np.sqrt(w[pos])
         design = np.vander(x, config.degree + 1, increasing=True) * sw[:, None]
         beta, _, rank, _ = np.linalg.lstsq(design, v[idx][pos] * sw, rcond=None)

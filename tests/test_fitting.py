@@ -138,6 +138,18 @@ class TestMinimize:
         out = minimize(FitProblem(f, np.array([1.0]), names=("gain",)))
         assert set(out.params()) == {"gain"}
 
+    def test_never_evaluates_past_a_lower_bound_far_below_the_start(self):
+        # the step to the lower bound rounds to x = 0, outside the box
+        def f(x):
+            assert 1e-300 <= x[0] <= 10.0
+            return math.log(x[0]) ** 2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = minimize(FitProblem(f, np.array([5.0]), lower=np.array([1e-300]), upper=np.array([10.0])))
+        assert out.converged
+        assert out.x[0] == pytest.approx(1.0, abs=1e-6)
+
 
 class TestLineSearch:
     """Evaluation budgets of the bracket-plus-Brent line search."""
@@ -329,6 +341,17 @@ class TestFitPriceLevel:
         out = fit_price_level(n, m, p, self.GRID, np.array([0.5, 8e-4, 450.0]), max_iter=1)
         assert not out.converged
 
+    @pytest.mark.parametrize("lo", [1e-6, 1e-10, 1e-20, 1e-40])
+    def test_a_c_box_reaching_far_below_the_start_fits(self, lo):
+        # the search for c = gamma*M0 used to step to c = 0 or past its lower bound
+        series = [bundled_series(name) for name in ("gdp", "mbcurrcir", "pcepilfe")]
+        lower, upper = np.array([1.0, lo * 1e-3, lo * 1e3]), np.array([1000.0, 1e-3, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fit_price_level(*series, np.linspace(1961, 2009, 10), [78.0, 4.7e-4, 720.0], (lower, upper))
+        assert out.converged
+        assert np.all(out.x >= lower) and np.all(out.x <= upper)
+
 
 class TestFitInterest:
     GRID = np.linspace(1960.0, 2014.0, 120)
@@ -373,6 +396,16 @@ class TestCobbDouglasLogLinear:
     def test_rejects_non_positive_inputs(self):
         with pytest.raises(DomainError):
             cobb_douglas_loglinear(np.array([1.0, -1.0]), np.ones(2), np.ones(2))
+
+    def test_intercept_beyond_the_float_range_names_the_function(self):
+        # finite positive data whose fitted log a is about 741
+        rng = np.random.default_rng(0)
+        capital, labor = 10.0 ** rng.uniform(-12, -10, 40), 10.0 ** rng.uniform(-12, -10, 40)
+        output = 1e300 * (capital / 1e-11) * (labor / 1e-11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^cobb_douglas_loglinear: "):
+                cobb_douglas_loglinear(capital, labor, output)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_inputs(self, bad):
@@ -684,6 +717,16 @@ class TestFitInterestBox:
         assert out.params()["k_i"] == pytest.approx(1.0 / a, rel=1e-10)
         assert out.params()["k_p"] == pytest.approx(np.exp(-b / a), rel=1e-10)
 
+    def test_k_p_beyond_the_float_range_names_the_function(self):
+        # rates that barely rise with N/M put the best k_p at exp(2996), with no upper bound
+        n, m = 600.0 * np.exp(0.068 * U), 32.0 * np.exp(0.052 * U)
+        rate = ts(0.05 * (n / m) ** 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^fit_interest: "):
+                fit_interest(
+                    ts(n), ts(m), ts(m), rate, rate, GRID, [3.0, 0.2], bounds=([0.1, 0.01], [np.inf, np.inf])
+                )
 
     def test_rates_falling_with_n_over_m_leave_k_i_unbounded(self):
         # with no upper bound on k_i the best slope 1/k_i is 0

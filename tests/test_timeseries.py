@@ -149,6 +149,21 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 2"):
             load_csv(path)
 
+    def test_dates_are_only_yyyy_mm_dd_on_every_python(self, tmp_path):
+        # date.fromisoformat takes both as dates from Python 3.11 on, 3.10 neither
+        path = tmp_path / "a.csv"
+        path.write_text("date,value\n20090101,1.0\n")
+        assert load_csv(path).t.tolist() == [20090101.0]  # a decimal year
+        path.write_text("date,value\n2009-W01-1,1.0\n")
+        with pytest.raises(ParseError, match="^line 2: unparseable date '2009-W01-1'$"):
+            load_csv(path)
+
+    def test_line_number_counts_the_lines_of_a_quoted_cell(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text('date,value,note\n2009-01-01,1.0,"two\nlines"\n2009-02-01,oops,x\n')
+        with pytest.raises(ParseError, match="^line 4: unparseable value 'oops'$"):
+            load_csv(path)
+
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"date,value\n2000-01-01,1\n2001-01-01,\xff\n")
@@ -351,6 +366,12 @@ class TestInterpLinear:
             interp_linear(ts, 1999.9)
         with pytest.raises(OutOfRange):
             interp_linear(ts, [2000.0, 2004.1])
+
+    def test_one_sample_answers_only_at_its_own_time(self):
+        ts = TimeSeries([2000.0], [1.0])
+        with pytest.raises(OutOfRange, match="^need at least two samples to interpolate$"):
+            interp_linear(ts, 2001.0)
+        assert interp_linear(ts, 2000.0) == 1.0
 
     def test_nan_time_is_out_of_range(self):
         ts = make_series(5)
